@@ -1,13 +1,12 @@
-//! E8 — Section 9: the O(n^2)-style sequential construction vs the
-//! "apply the single-source algorithm n times" baseline and the naive
+//! E8 — Section 9: the sequential all-pairs construction (one sweep skeleton
+//! per scene, then one single-source sweep per vertex) vs the naive
 //! per-source Dijkstra baseline.
-//! Paper claim: the dedicated sequential construction beats repeated
-//! single-source computation by roughly a log factor, and both beat the
-//! quadratic-graph Dijkstra by a wide margin.
+//! Paper claim: the §9 construction beats the quadratic-graph Dijkstra by a
+//! wide margin.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsp_core::apsp::VertexApsp;
-use rsp_core::baseline::{dijkstra_sssp_matrix, repeated_sssp_matrix};
+use rsp_core::baseline::dijkstra_sssp_matrix;
 use rsp_workload::uniform_disjoint;
 
 fn bench(c: &mut Criterion) {
@@ -17,9 +16,6 @@ fn bench(c: &mut Criterion) {
         let w = uniform_disjoint(n, 17);
         group.bench_with_input(BenchmarkId::new("section9_sequential", n), &w.obstacles, |b, obs| {
             b.iter(|| VertexApsp::build_sequential(obs).len())
-        });
-        group.bench_with_input(BenchmarkId::new("repeated_sssp", n), &w.obstacles, |b, obs| {
-            b.iter(|| repeated_sssp_matrix(obs).rows())
         });
         if n <= 64 {
             group.bench_with_input(BenchmarkId::new("hanan_dijkstra_per_source", n), &w.obstacles, |b, obs| {

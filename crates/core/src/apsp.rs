@@ -5,10 +5,13 @@
 //! pipelining `O(n)` computational "flows" through the recursion tree
 //! (Section 6.3).  On a multicore the same `O(n^2)` work bound is obtained by
 //! fanning the `4n` single-source computations of Section 9 out over the
-//! rayon pool (each source costs `O(n log n)` here); by Brent's theorem the
-//! running time is `O(n^2 log n / p + n)`, which for any realistic `p << n`
-//! is indistinguishable from the paper's schedule.  The substitution is
-//! documented in DESIGN.md §3 (item 4) and evaluated by experiment E4.
+//! rayon pool: one `O(n log n)` sweep skeleton per scene, then per source
+//! two escape traces and one linear relaxation pass per case view (see
+//! [`crate::seq`]).  By Brent's theorem the running time is
+//! `O(n^2 log n / p + n)`, which for any realistic `p << n` is
+//! indistinguishable from the paper's schedule.  The substitution is
+//! documented in DESIGN.md §3 (the §6.3 flows row) and evaluated by
+//! experiment E4.
 
 use crate::instance::Instance;
 use crate::seq::SingleSourceEngine;

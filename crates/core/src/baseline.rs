@@ -4,10 +4,6 @@
 //!   Dijkstra, the exact oracle every engine in the workspace is validated
 //!   against.  This plays the role of an external reference implementation;
 //!   it is not part of the paper's algorithm.
-//! * [`repeated_sssp_matrix`] — the "apply the single-source algorithm of
-//!   [11] `O(n)` times" baseline that Section 9 compares its `O(n^2)`
-//!   construction against (`O(n^2 log n)` total work).  Experiment E8
-//!   measures this against the Section-9 sweep and the parallel builder.
 //! * [`dijkstra_sssp_matrix`] — an intentionally naive all-pairs baseline
 //!   (full Hanan-grid Dijkstra per source) used to show the gap to the
 //!   paper's approach on small inputs.
@@ -23,14 +19,6 @@ pub use rsp_geom::hanan::{ground_truth_distance, ground_truth_matrix};
 /// Ground-truth distance between two arbitrary points of an instance.
 pub fn instance_ground_truth(instance: &Instance, a: Point, b: Point) -> Dist {
     ground_truth_distance(instance.obstacles(), a, b)
-}
-
-/// All-pairs vertex matrix by repeating the (fast, sparse) single-source
-/// sweep of Section 9 once per vertex, sequentially.  `O(n^2 log n)` work.
-pub fn repeated_sssp_matrix(obstacles: &ObstacleSet) -> MinPlusMatrix {
-    let engine = crate::seq::SingleSourceEngine::new(obstacles);
-    let rows: Vec<Vec<Dist>> = engine.vertices().to_vec().iter().map(|&v| engine.distances_from(v)).collect();
-    MinPlusMatrix::from_rows(rows)
 }
 
 /// All-pairs vertex matrix by running a full Hanan-grid Dijkstra per source
@@ -55,9 +43,9 @@ mod tests {
     #[test]
     fn baselines_agree_with_each_other() {
         let obs = obstacles();
-        let fast = repeated_sssp_matrix(&obs);
+        let fast = crate::apsp::VertexApsp::build_sequential(&obs);
         let slow = dijkstra_sssp_matrix(&obs);
-        assert_eq!(fast, slow);
+        assert_eq!(fast.matrix().expect("dense build"), &slow);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! `k`-segment path in parallel chunks.
 
 use crate::query::{quadrant_of, PathLengthOracle};
+use crate::store::DistanceStore;
 use rayon::prelude::*;
 use rsp_geom::{Chain, Dir, Dist, ObstacleSet, Point, RectiPath, INF};
 use rsp_pram::{Forest, LevelAncestor};
@@ -63,8 +64,7 @@ impl ShortestPathTrees {
             Some(list) => list.iter().filter_map(|p| oracle.apsp().vertex_index(*p)).collect(),
             None => (0..oracle.apsp().len()).collect(),
         };
-        let trees: HashMap<usize, ShortestPathTree> =
-            source_ids.par_iter().map(|&s| (s, build_tree(&oracle, s))).collect();
+        let trees: HashMap<usize, ShortestPathTree> = build_trees(&oracle, &source_ids).into_iter().collect();
         ShortestPathTrees { oracle, trees }
     }
 
@@ -99,8 +99,7 @@ impl ShortestPathTrees {
             .collect();
         missing.sort_unstable();
         missing.dedup();
-        let oracle = &self.oracle;
-        let built: Vec<(usize, ShortestPathTree)> = missing.par_iter().map(|&s| (s, build_tree(oracle, s))).collect();
+        let built = build_trees(&self.oracle, &missing);
         let count = built.len();
         self.trees.extend(built);
         count
@@ -192,7 +191,29 @@ impl ShortestPathTrees {
     }
 }
 
-fn build_tree(oracle: &PathLengthOracle, source_index: usize) -> ShortestPathTree {
+/// Build the trees for `sources` (distinct vertex ids), in parallel.  Each
+/// tree reads its distances from its source's own row: a matrix row on the
+/// dense store, or a row pinned on the implicit store.  The metric is
+/// symmetric, so that row holds the very values `apsp.distance` would
+/// answer, and each source costs at most one sweep — run outside the cache
+/// lock and in parallel by [`ImplicitStore::pin_rows`](crate::store::ImplicitStore::pin_rows).
+fn build_trees(oracle: &PathLengthOracle, sources: &[usize]) -> Vec<(usize, ShortestPathTree)> {
+    match oracle.apsp().store() {
+        DistanceStore::Dense(matrix) => {
+            sources.par_iter().map(|&s| (s, build_tree(oracle, s, matrix.row(s)))).collect()
+        }
+        DistanceStore::Implicit(store) => {
+            let pins = store.pin_rows(sources);
+            sources
+                .par_iter()
+                .map(|&s| (s, build_tree(oracle, s, pins.row(s).expect("source row is pinned"))))
+                .collect()
+        }
+    }
+}
+
+/// One tree from `source_index`, whose distances to every vertex are `row`.
+fn build_tree(oracle: &PathLengthOracle, source_index: usize, row: &[Dist]) -> ShortestPathTree {
     let apsp = oracle.apsp();
     let vertices = apsp.vertices();
     let source = vertices[source_index];
@@ -204,16 +225,16 @@ fn build_tree(oracle: &PathLengthOracle, source_index: usize) -> ShortestPathTre
             connectors.push(Connector::Root);
             continue;
         }
-        let total = apsp.distance(source_index, w_idx);
+        let total = row[w_idx];
         if total >= INF {
             connectors.push(Connector::Root);
             continue;
         }
-        let connector = choose_parent(oracle, source_index, source, w, total).unwrap_or_else(|| {
+        let connector = choose_parent(oracle, source_index, row, w, total).unwrap_or_else(|| {
             // Safety net: any vertex u with a clear one-bend connection that
             // certifies the distance.
             for (u_idx, &u) in vertices.iter().enumerate() {
-                if u_idx != w_idx && apsp.distance(source_index, u_idx) + u.l1(w) == total {
+                if u_idx != w_idx && row[u_idx] + u.l1(w) == total {
                     if let Some(bend) = oracle.l_connection(u, w) {
                         return Connector::ViaBend { parent: u_idx, bend };
                     }
@@ -235,15 +256,17 @@ fn build_tree(oracle: &PathLengthOracle, source_index: usize) -> ShortestPathTre
 
 /// The Section 8 parent rule: try the horizontal and the vertical ray from
 /// `w` towards the source; accept a chain attachment or a blocking-edge
-/// endpoint whenever it certifies the known distance `total`.
+/// endpoint whenever it certifies the known distance `total`.  `row` holds
+/// the source's distances to every vertex.
 fn choose_parent(
     oracle: &PathLengthOracle,
     source_index: usize,
-    source: Point,
+    row: &[Dist],
     w: Point,
     total: Dist,
 ) -> Option<Connector> {
     let apsp = oracle.apsp();
+    let source = apsp.vertices()[source_index];
     let quadrant = quadrant_of(source, w);
     let chain: &Chain = oracle.escape_chain(source_index, quadrant);
     let index = oracle.shoot_index();
@@ -305,7 +328,7 @@ fn choose_parent(
             };
             for v in [v1, v2] {
                 if let Some(vi) = apsp.vertex_index(v) {
-                    if apsp.distance(source_index, vi) + v.l1(w) == total {
+                    if row[vi] + v.l1(w) == total {
                         return Some(Connector::ViaBend { parent: vi, bend: h.point });
                     }
                 }

@@ -118,7 +118,7 @@ pub struct StoreStats {
 enum RowProvider {
     /// The Section 9 single-source engine — the same routine the dense
     /// builders fan out over, so rows are bitwise-identical to theirs.
-    Sweep(SingleSourceEngine),
+    Sweep(Box<SingleSourceEngine>),
     /// Hanan-grid Dijkstra per source — the same routine
     /// [`dijkstra_sssp_matrix`](crate::baseline::dijkstra_sssp_matrix) fans
     /// out over, for the baseline-comparator engine.
@@ -134,9 +134,9 @@ impl RowProvider {
     }
 }
 
-/// A [`RowProvider`] whose skeleton (the four case-transformed ray-shooting
-/// views, or the Hanan grid) is built on the first *sweep*, not at store
-/// construction.
+/// A [`RowProvider`] whose skeleton (the sweep engine's point-location
+/// index and four case views, or the Hanan grid) is built on the first
+/// *sweep*, not at store construction.
 ///
 /// The skeleton only matters on a row miss, and its build is the dominant
 /// fixed cost of an implicit store at large `n`.  Deferring it keeps a fresh
@@ -167,7 +167,7 @@ impl LazyProvider {
                 let grid = HananGrid::build(&self.obstacles, &vertices);
                 RowProvider::Hanan { grid, vertices }
             } else {
-                RowProvider::Sweep(SingleSourceEngine::new(&self.obstacles))
+                RowProvider::Sweep(Box::new(SingleSourceEngine::new(&self.obstacles)))
             }
         })
     }
@@ -640,6 +640,12 @@ mod tests {
     use super::*;
     use rsp_workload::uniform_disjoint;
 
+    /// The dense store the sequential §9 construction builds.
+    fn sequential_dense(obstacles: &ObstacleSet) -> DistanceStore {
+        let apsp = crate::apsp::VertexApsp::build_sequential(obstacles);
+        DistanceStore::dense(apsp.matrix().expect("dense build").clone())
+    }
+
     #[test]
     fn auto_resolution_picks_by_scene_size() {
         assert_eq!(StoreKind::Auto.resolve(8), StoreKind::Dense);
@@ -666,9 +672,7 @@ mod tests {
     #[test]
     fn implicit_sweep_matches_dense_bitwise() {
         let w = uniform_disjoint(9, 17);
-        let engine = SingleSourceEngine::new(&w.obstacles);
-        let rows: Vec<Vec<Dist>> = engine.vertices().to_vec().iter().map(|&v| engine.distances_from(v)).collect();
-        let dense = DistanceStore::dense(MinPlusMatrix::from_rows(rows));
+        let dense = sequential_dense(&w.obstacles);
         // A budget of three rows forces heavy churn; answers must not move.
         let row_bytes = dense.dim() * ENTRY_BYTES;
         let implicit = DistanceStore::implicit_sweep(&w.obstacles, 3 * row_bytes);
@@ -726,9 +730,7 @@ mod tests {
     #[test]
     fn pinned_rows_answer_batches_with_one_sweep_per_row() {
         let w = uniform_disjoint(6, 11);
-        let engine = SingleSourceEngine::new(&w.obstacles);
-        let rows: Vec<Vec<Dist>> = engine.vertices().to_vec().iter().map(|&v| engine.distances_from(v)).collect();
-        let dense = DistanceStore::dense(MinPlusMatrix::from_rows(rows));
+        let dense = sequential_dense(&w.obstacles);
         let dim = dense.dim();
         let row_bytes = dim * ENTRY_BYTES;
         let store = DistanceStore::implicit_sweep(&w.obstacles, 2 * row_bytes);

@@ -4,7 +4,7 @@
 //! around: every node stores its obstacle subset, its region, its separator
 //! and the per-node path-length matrices, and the `V_R`-to-`V_R` computation
 //! pipelines "flows" through this tree.  Our `V_R`-to-`V_R` construction uses
-//! the source-parallel schedule (see `apsp`, DESIGN.md §3 item 4), so the
+//! the source-parallel schedule (see `apsp`, DESIGN.md §3, the §6.3 flows row), so the
 //! tree is not needed for correctness; this module materialises it anyway for
 //! inspection, statistics and the figure gallery (F3): node sizes, separator
 //! chains, balance factors and depths.

@@ -2,7 +2,7 @@
 //! reporter, validated against the Hanan-grid ground truth.
 
 use rectilinear_shortest_paths::core::apsp::VertexApsp;
-use rectilinear_shortest_paths::core::baseline::{dijkstra_sssp_matrix, repeated_sssp_matrix};
+use rectilinear_shortest_paths::core::baseline::dijkstra_sssp_matrix;
 use rectilinear_shortest_paths::core::bigp::BigPolygonStructure;
 use rectilinear_shortest_paths::core::dnc::{build_boundary_matrix_bbox, DncOptions};
 use rectilinear_shortest_paths::core::query::PathLengthOracle;
@@ -24,13 +24,11 @@ fn every_engine_agrees_on_uniform_instances() {
 
         let apsp = VertexApsp::build(obs);
         let seq = VertexApsp::build_sequential(obs);
-        let rep = repeated_sssp_matrix(obs);
         let dij = dijkstra_sssp_matrix(obs);
         for i in 0..verts.len() {
             for j in 0..verts.len() {
                 assert_eq!(apsp.distance(i, j), truth[i][j], "apsp {:?}->{:?}", verts[i], verts[j]);
                 assert_eq!(seq.distance(i, j), truth[i][j]);
-                assert_eq!(rep.get(i, j), truth[i][j]);
                 assert_eq!(dij.get(i, j), truth[i][j]);
             }
         }

@@ -6,14 +6,38 @@ use rectilinear_shortest_paths::core::query::PathLengthOracle;
 use rectilinear_shortest_paths::core::separator::find_separator_unbounded;
 use rectilinear_shortest_paths::core::seq::SingleSourceEngine;
 use rectilinear_shortest_paths::core::trace::chain_avoids_obstacles;
-use rectilinear_shortest_paths::geom::hanan::ground_truth_distance;
-use rectilinear_shortest_paths::geom::{Chain, ObstacleIndex, ObstacleSet, Point, Rect};
+use rectilinear_shortest_paths::geom::hanan::{ground_truth_distance, HananGrid};
+use rectilinear_shortest_paths::geom::{Chain, ObstacleIndex, ObstacleSet, Point, Rect, INF};
 use rectilinear_shortest_paths::monge::{is_monge, min_plus_naive, min_plus_parallel, MinPlusMatrix};
 use rectilinear_shortest_paths::workload::{clustered, corridors, uniform_disjoint};
 
 /// Strategy: a set of disjoint rectangles on a coarse grid.
 fn obstacles_strategy(max_n: usize) -> impl Strategy<Value = ObstacleSet> {
     (1..=max_n, any::<u64>()).prop_map(|(n, seed)| uniform_disjoint(n, seed).obstacles)
+}
+
+/// Strategy: rectangles on a 5-wide lattice of 6-unit cells, each cell empty
+/// or holding one rectangle of side 2..=6 anchored in its lower-left,
+/// lower-right or upper-right corner — so neighbours share corners and
+/// collinear edges (disjoint by construction).
+fn touching_scene_strategy() -> impl Strategy<Value = ObstacleSet> {
+    proptest::collection::vec((0u8..4, 2i64..=6, 2i64..=6), 4..=25).prop_map(|cells| {
+        let rects = cells
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.0 != 0)
+            .map(|(k, &(anchor, w, h))| {
+                let (x0, y0) = (6 * (k % 5) as i64, 6 * (k / 5) as i64);
+                let (x, y) = match anchor {
+                    1 => (x0, y0),
+                    2 => (x0 + 6 - w, y0),
+                    _ => (x0 + 6 - w, y0 + 6 - h),
+                };
+                Rect::new(x, y, x + w, y + h)
+            })
+            .collect();
+        ObstacleSet::new(rects)
+    })
 }
 
 fn sorted_coords(len: usize) -> impl Strategy<Value = Vec<i64>> {
@@ -78,6 +102,53 @@ proptest! {
         for (i, &v) in engine.vertices().iter().enumerate() {
             prop_assert!(dist[i] >= source.l1(v));
             prop_assert_eq!(dist[i], ground_truth_distance(&obs, source, v));
+        }
+    }
+
+    /// The §9 sweep agrees with a Hanan-grid Dijkstra on scenes full of
+    /// shared corners and collinear edges, for four kinds of source: a
+    /// vertex, any point of the bounding box (a source strictly inside an
+    /// obstacle reaches nothing), a point outside the box (the widened-region
+    /// branch) and a point on an obstacle's boundary.
+    #[test]
+    fn single_source_rows_match_hanan_on_touching_scenes(
+        obs in touching_scene_strategy(),
+        vertex in any::<usize>(),
+        ix in 0i64..=1000,
+        iy in 0i64..=1000,
+        sector in 0usize..8,
+        gap in 1i64..40,
+        rect in any::<usize>(),
+        edge in 0u8..4,
+        along in 0i64..=1000,
+    ) {
+        prop_assume!(!obs.is_empty());
+        let verts = obs.vertices();
+        let bbox = obs.bbox().unwrap();
+        let inside = Point::new(bbox.xmin + ix * bbox.width() / 1000, bbox.ymin + iy * bbox.height() / 1000);
+        // The eight sectors around the box, skipping the box itself.
+        let (sx, sy) = [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2)][sector];
+        let outside = Point::new(
+            [bbox.xmin - gap, inside.x, bbox.xmax + gap][sx],
+            [bbox.ymin - gap, inside.y, bbox.ymax + gap][sy],
+        );
+        let r = obs.rect(rect % obs.len());
+        let (bx, by) = (r.xmin + along * r.width() / 1000, r.ymin + along * r.height() / 1000);
+        let boundary = match edge {
+            0 => Point::new(bx, r.ymin),
+            1 => Point::new(bx, r.ymax),
+            2 => Point::new(r.xmin, by),
+            _ => Point::new(r.xmax, by),
+        };
+        let engine = SingleSourceEngine::new(&obs);
+        for source in [verts[vertex % verts.len()], inside, outside, boundary] {
+            let row = engine.distances_from(source);
+            if obs.containing_obstacle(source).is_some() {
+                prop_assert!(row.iter().all(|&d| d == INF), "{:?} is inside an obstacle", source);
+                continue;
+            }
+            let truth = HananGrid::build(&obs, &[source]).distances_to(source, &verts);
+            prop_assert!(row == truth, "source {:?} in {:?}: sweep {:?} vs Hanan {:?}", source, obs.rects(), row, truth);
         }
     }
 

@@ -155,6 +155,30 @@ fn auto_store_resolves_by_scene_size_on_the_router() {
     assert_eq!(large.store_kind(), StoreKind::Implicit { budget_bytes: default_budget_bytes(512) });
 }
 
+/// A shortest-path tree reads its source's row once: `paths` over `k`
+/// distinct sources on a starved implicit store adds at most `k` row misses
+/// (one sweep per tree, not one per tree vertex), and the reported paths are
+/// bitwise the dense store's.
+#[test]
+fn implicit_paths_sweep_at_most_one_row_per_tree() {
+    for (which, seed) in [(0usize, 5u64), (1, 9), (2, 3)] {
+        let obstacles = family(which, 6, seed);
+        let verts = obstacles.vertices();
+        let sources: Vec<Point> = verts.iter().step_by(5).copied().collect();
+        let pairs: Vec<(Point, Point)> =
+            sources.iter().flat_map(|&s| verts.iter().step_by(3).map(move |&t| (s, t))).collect();
+        let build = |store: StoreKind| Router::builder(obstacles.clone()).store(store).build().expect("valid scene");
+        let dense = build(StoreKind::Dense);
+        let implicit = build(starved(&obstacles));
+        implicit.oracle();
+        let before = implicit.memory_stats().row_misses;
+        let paths = implicit.paths(&pairs).expect("path batch");
+        let added = implicit.memory_stats().row_misses - before;
+        assert!(added <= sources.len() as u64, "family {which}: {added} sweeps for {} trees", sources.len());
+        assert_eq!(paths, dense.paths(&pairs).expect("path batch"), "family {which}");
+    }
+}
+
 /// The memory-scaling acceptance bar.  At n = 512 / 1024 / 2048 the implicit
 /// store answers queries while holding only the touched rows; residency never
 /// exceeds the default budget, and at n = 2048 the budget itself is at most
