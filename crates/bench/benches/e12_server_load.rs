@@ -6,17 +6,20 @@
 //! interleaved with pre-batched 16-query `batch_distances` calls over four
 //! resident scenes — and every call's wall-clock latency is recorded.  For
 //! each (shards, admission window) configuration the bench reports
-//! throughput (QPS) and the p50 / p99 / p999 latency percentiles.
+//! throughput (QPS), the p50 / p99 / p999 latency percentiles, and the
+//! admission queues' summed `QueueStats`: how many batches ran, their mean
+//! size and the largest one — whether concurrent callers still coalesce
+//! when nothing waits for a window.
 //!
 //! The per-configuration measurement time honours `CRITERION_BUDGET_MS`
 //! (default 300 ms, matching the vendored criterion), so the CI smoke run
 //! (`=10`) finishes in well under a second.
 //!
 //! Caveat for reading the numbers: shard scaling needs cores.  On a 1-CPU
-//! container the shard counts mostly measure the coalescer's windowing, not
+//! container the shard counts mostly measure the admission window, not
 //! parallel dispatch.
 
-use rsp_server::{RspService, SceneId, ServiceConfig};
+use rsp_server::{QueueStats, RspService, SceneId, ServiceConfig};
 use rsp_workload::{query_pairs, uniform_disjoint};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -109,19 +112,30 @@ fn main() {
         "e12_server_load: {CLIENTS} clients, {SCENES} scenes, mixed traffic (3:1 single:batch16), {} ms/config",
         measure.as_millis()
     );
-    println!("{:<28} {:>10} {:>10} {:>10} {:>10}", "config", "qps", "p50_us", "p99_us", "p999_us");
+    println!(
+        "{:<28} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "config", "qps", "p50_us", "p99_us", "p999_us", "batches", "mean_bat", "max_bat"
+    );
     for &shards in &[1usize, 2, 4] {
         for &window_us in &[0u64, 200] {
             let loaded = setup(shards, Duration::from_micros(window_us));
             let (ops, elapsed, lat) = drive(&loaded, measure);
             let qps = ops as f64 / elapsed.as_secs_f64();
+            let queues = loaded.service.stats().shards.iter().fold(QueueStats::default(), |sum, shard| QueueStats {
+                queries: sum.queries + shard.queue.queries,
+                batches: sum.batches + shard.queue.batches,
+                largest_batch: sum.largest_batch.max(shard.queue.largest_batch),
+            });
             println!(
-                "{:<28} {:>10.0} {:>10.1} {:>10.1} {:>10.1}",
+                "{:<28} {:>10.0} {:>10.1} {:>10.1} {:>10.1} {:>10} {:>10.2} {:>10}",
                 format!("shards={shards}/window={window_us}us"),
                 qps,
                 percentile(&lat, 0.50) as f64 / 1e3,
                 percentile(&lat, 0.99) as f64 / 1e3,
                 percentile(&lat, 0.999) as f64 / 1e3,
+                queues.batches,
+                queues.queries as f64 / queues.batches.max(1) as f64,
+                queues.largest_batch,
             );
         }
     }

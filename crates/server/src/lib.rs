@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | wire protocol | [`protocol`] | versioned [`Request`]/[`Response`] enums, typed [`ServerError`] with evidence, length-prefixed framing |
 //! | session cache | [`session`] | `Arc<Router>` per scene hash, build-once under concurrency, bounded LRU |
-//! | admission | [`admission`] | coalesces point queries into one `Router::distances` batch per window/size budget |
+//! | admission | [`admission`] | coalesces point queries into `Router::distances` batches, run by the waiting callers themselves (no queue thread) |
 //! | shards | [`shard`] | hash-partitions scenes across N independent cache+queue pairs |
 //! | front ends | [`service`], [`server`], [`client`] | in-process engine, `std::net` TCP server, blocking typed client |
 //!
@@ -43,7 +43,7 @@ pub mod service;
 pub mod session;
 pub mod shard;
 
-pub use admission::Coalescer;
+pub use admission::{Coalescer, Ticket};
 pub use client::{Client, ClientError};
 pub use protocol::{
     CacheStats, QueueStats, Request, Response, SceneId, ServerError, ServerStats, SessionStoreStats, ShardStats,

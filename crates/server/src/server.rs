@@ -9,6 +9,7 @@
 
 use crate::protocol::{read_message, write_message, Request, WireError};
 use crate::service::RspService;
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,17 +19,19 @@ use std::thread::JoinHandle;
 struct ServerShared {
     service: RspService,
     shutdown: AtomicBool,
-    /// Clones of every live connection's stream, so shutdown can unblock
-    /// reader threads by closing their sockets.
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of every live connection's stream, keyed by connection id,
+    /// so shutdown can unblock reader threads by closing their sockets.  A
+    /// connection removes its own entry when it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// A running TCP server.  Dropping it shuts the server down.
 pub struct Server {
     shared: Arc<ServerShared>,
     addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// The accept loop; it returns the handles of the connection threads
+    /// still running when it stops.
+    accept_thread: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -38,14 +41,12 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared =
-            Arc::new(ServerShared { service, shutdown: AtomicBool::new(false), conns: Mutex::new(Vec::new()) });
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+            Arc::new(ServerShared { service, shutdown: AtomicBool::new(false), conns: Mutex::new(HashMap::new()) });
         let accept_shared = Arc::clone(&shared);
-        let accept_conn_threads = Arc::clone(&conn_threads);
         let accept_thread = std::thread::Builder::new()
             .name("rsp-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared, &accept_conn_threads))?;
-        Ok(Server { shared, addr, accept_thread: Some(accept_thread), conn_threads })
+            .spawn(move || accept_loop(&listener, &accept_shared))?;
+        Ok(Server { shared, addr, accept_thread: Some(accept_thread) })
     }
 
     /// The bound address (with the resolved port).
@@ -66,16 +67,12 @@ impl Server {
         }
         // Unblock the accept loop with a throwaway connection to ourselves.
         let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        let conn_threads = self.accept_thread.take().and_then(|handle| handle.join().ok()).unwrap_or_default();
         // Unblock connection readers by closing their sockets.
-        for stream in self.shared.conns.lock().expect("server conns poisoned").drain(..) {
+        for (_, stream) in self.shared.conns.lock().expect("server conns poisoned").drain() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        let handles: Vec<JoinHandle<()>> =
-            self.conn_threads.lock().expect("server threads poisoned").drain(..).collect();
-        for handle in handles {
+        for handle in conn_threads {
             let _ = handle.join();
         }
     }
@@ -87,23 +84,35 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>, threads: &Arc<Mutex<Vec<JoinHandle<()>>>>) {
-    for stream in listener.incoming() {
+/// Accept until shutdown, one thread per connection.  Threads of ended
+/// connections are joined as new ones arrive, so a long-lived server holds
+/// state only for its live connections.
+fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) -> Vec<JoinHandle<()>> {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+            break;
+        }
+        for ended in threads.extract_if(.., |handle| handle.is_finished()) {
+            let _ = ended.join();
         }
         let Ok(stream) = stream else { continue };
         let _ = stream.set_nodelay(true);
-        if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().expect("server conns poisoned").push(clone);
-        }
+        let Ok(clone) = stream.try_clone() else { continue };
+        shared.conns.lock().expect("server conns poisoned").insert(id, clone);
         let conn_shared = Arc::clone(shared);
-        let spawned =
-            std::thread::Builder::new().name("rsp-conn".into()).spawn(move || serve_conn(stream, &conn_shared));
-        if let Ok(handle) = spawned {
-            threads.lock().expect("server threads poisoned").push(handle);
+        let spawned = std::thread::Builder::new().name("rsp-conn".into()).spawn(move || {
+            serve_conn(stream, &conn_shared);
+            conn_shared.conns.lock().expect("server conns poisoned").remove(&id);
+        });
+        match spawned {
+            Ok(handle) => threads.push(handle),
+            Err(_) => {
+                shared.conns.lock().expect("server conns poisoned").remove(&id);
+            }
         }
     }
+    threads
 }
 
 /// One connection: a strict request/response loop.  Returns (closing the

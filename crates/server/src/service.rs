@@ -26,8 +26,10 @@ pub struct ServiceConfig {
     /// residency of the shard's built routers; crossing it LRU-evicts whole
     /// sessions (the count cap above is the secondary bound).
     pub session_budget_bytes: usize,
-    /// Admission window: how long a batch stays open after its first query
-    /// (default 200 µs; zero dispatches eagerly).
+    /// Admission window: how long the executing caller lingers, measured
+    /// from the oldest queued query, before draining a batch (default zero:
+    /// drain at once, so a lone query pays no timer and batches form only
+    /// from queries that queue while another batch runs).
     pub batch_window: Duration,
     /// Admission size budget: a batch dispatches as soon as it holds this
     /// many queries (default 256).
@@ -45,7 +47,7 @@ impl Default for ServiceConfig {
             shards: 1,
             session_capacity: 16,
             session_budget_bytes: 1 << 30,
-            batch_window: Duration::from_micros(200),
+            batch_window: Duration::ZERO,
             batch_max: 256,
             engine: Engine::Auto,
             store: StoreKind::Auto,
@@ -59,7 +61,7 @@ pub struct RspService {
 }
 
 impl RspService {
-    /// Assemble a service (shards, caches and queue workers spin up now).
+    /// Assemble a service (shards with their caches and queues; no threads).
     pub fn new(config: ServiceConfig) -> Self {
         RspService { shards: ShardSet::new(&config) }
     }
@@ -97,8 +99,8 @@ impl RspService {
     pub fn distance(&self, scene: SceneId, a: Point, b: Point) -> Result<Dist, ServerError> {
         let shard = self.shards.shard_for(scene);
         let router = shard.sessions.lookup(scene)?;
-        let rx = shard.queue.submit(router, a, b);
-        rx.recv().unwrap_or(Err(ServerError::ShuttingDown))
+        // `recv` fails only if the batch carrying this query panicked.
+        shard.queue.submit(router, a, b).recv().unwrap_or(Err(ServerError::ShuttingDown))
     }
 
     /// A pre-batched distance query, served by one

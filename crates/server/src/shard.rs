@@ -1,9 +1,10 @@
-//! N-shard scene partitioning: hash scenes across independent workers.
+//! N-shard scene partitioning: hash scenes across independent partitions.
 //!
 //! Multi-tenant load must not funnel through one lock.  A [`ShardSet`]
 //! partitions scenes by their stable hash across `N` [`Shard`]s, each owning
-//! its *own* session cache and its *own* admission queue (with its own
-//! dispatch thread) — so tenants on different shards contend on nothing.
+//! its *own* session cache and its *own* admission queue — so tenants on
+//! different shards contend on nothing.  A shard owns no threads: its
+//! queries run on the callers' threads.
 //! Scene-to-shard assignment is pure (`scene_hash % N`), which keeps routing
 //! stateless: any front end holding the scene id can compute the shard.
 

@@ -1,12 +1,18 @@
 //! Integration tests for the `rsp-server` serving subsystem: concurrent
 //! TCP clients sharing build-once sessions, coalesced answers agreeing
 //! bitwise with direct `Router` calls, the LRU residency bound over the
-//! wire, and (property-based) the `RspError` → `ServerError` wire mapping
-//! preserving every variant's evidence through serialisation.
+//! wire, connection churn leaking no descriptors, and (property-based) the
+//! `RspError` → `ServerError` wire mapping preserving every variant's
+//! evidence through serialisation and the frame decoder turning hostile
+//! bytes into typed errors.
 
 use proptest::prelude::*;
 use rectilinear_shortest_paths::geom::DisjointnessViolation;
-use rectilinear_shortest_paths::server::{Client, RspService, Server, ServerError, ServiceConfig};
+use rectilinear_shortest_paths::server::protocol::{read_message, write_message};
+use rectilinear_shortest_paths::server::{
+    Client, Request, Response, RspService, Server, ServerError, ServiceConfig, WireError, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
+};
 use rectilinear_shortest_paths::workload::{query_pairs, uniform_disjoint};
 use rectilinear_shortest_paths::{ObstacleSet, Point, Rect, Router, RspError};
 use std::sync::Arc;
@@ -126,6 +132,42 @@ fn lru_bound_caps_resident_sessions_over_tcp() {
     server.shutdown();
 }
 
+/// Connection churn holds no descriptors: 2,000 connect/close cycles leave
+/// the process's open-fd count where it started (within slack for sockets
+/// the other tests in this binary may hold meanwhile), because each ended
+/// connection releases its stream and its thread.
+#[cfg(target_os = "linux")]
+#[test]
+fn connection_churn_leaks_no_descriptors() {
+    fn open_fds() -> usize {
+        std::fs::read_dir("/proc/self/fd").expect("procfs").count()
+    }
+    let mut server = Server::bind("127.0.0.1:0", RspService::new(ServiceConfig::default())).unwrap();
+    // One served round trip first, so lazily opened descriptors exist before
+    // the baseline is read.
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.stats().unwrap();
+    drop(client);
+    let before = open_fds();
+    for _ in 0..2_000 {
+        drop(std::net::TcpStream::connect(server.addr()).unwrap());
+    }
+    // Server-side closes trail the client's by a thread wake-up; let them
+    // land.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let mut after = open_fds();
+    while after > before + 16 && std::time::Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(20));
+        after = open_fds();
+    }
+    assert!(after <= before + 16, "{before} fds before 2,000 connect/close cycles, {after} after");
+    // A live connection still works, and shutdown closes and joins it.
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert_eq!(client.stats().unwrap().total_resident(), 0);
+    server.shutdown();
+    assert!(client.stats().is_err(), "shutdown closed the live connection");
+}
+
 /// Build one of each `RspError` variant from sampled evidence.
 fn rsp_error_from(selector: u8, x: i64, y: i64, id_a: usize, id_b: usize) -> RspError {
     match selector % 7 {
@@ -168,5 +210,128 @@ proptest! {
         let back = decoded.into_rsp().expect("mirrored variants map back");
         prop_assert_eq!(format!("{back}"), format!("{original}"));
         prop_assert_eq!(format!("{}", ServerError::from(back)), format!("{wire}"));
+    }
+}
+
+/// One valid frame per message shape the decoder must handle: requests and
+/// responses carrying geometry, pairs, errors and nested stats.
+fn valid_frames() -> Vec<Vec<u8>> {
+    let scene = ObstacleSet::new(vec![Rect::new(2, 2, 6, 10), Rect::new(8, -4, 9, 1)]);
+    let (a, b) = (Point::new(0, 0), Point::new(8, 12));
+    let requests = [
+        Request::LoadScene { obstacles: scene },
+        Request::Distance { scene: 7, a, b },
+        Request::BatchDistances { scene: 7, pairs: vec![(a, b), (b, a)] },
+        Request::Stats,
+    ];
+    let responses = [
+        Response::Distance { length: 20 },
+        Response::Distances { lengths: vec![20, 3] },
+        Response::Error { error: ServerError::PointInsideObstacle { point: a, obstacle: 1 } },
+        Response::Stats { stats: RspService::new(ServiceConfig { shards: 2, ..ServiceConfig::default() }).stats() },
+    ];
+    let mut frames = Vec::new();
+    for request in &requests {
+        let mut frame = Vec::new();
+        write_message(&mut frame, request).unwrap();
+        frames.push(frame);
+    }
+    for response in &responses {
+        let mut frame = Vec::new();
+        write_message(&mut frame, response).unwrap();
+        frames.push(frame);
+    }
+    frames
+}
+
+/// Decode `bytes` as both message types.  Returning at all is the main
+/// property (a panic fails the test); a frame that does decode must also
+/// survive a re-encode round trip unchanged.
+fn decode_both(bytes: &[u8]) -> [Result<(), WireError>; 2] {
+    let request = read_message::<_, Request>(&mut &bytes[..]).map(|message| {
+        let mut again = Vec::new();
+        write_message(&mut again, &message).unwrap();
+        assert_eq!(read_message::<_, Request>(&mut again.as_slice()).unwrap(), message);
+    });
+    let response = read_message::<_, Response>(&mut &bytes[..]).map(|message| {
+        let mut again = Vec::new();
+        write_message(&mut again, &message).unwrap();
+        assert_eq!(read_message::<_, Response>(&mut again.as_slice()).unwrap(), message);
+    });
+    [request, response]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The frame decoder meets hostile input with typed `WireError`s, never
+    /// a panic: random bytes (bare, or behind a valid header), truncated
+    /// and bit-flipped valid frames, wrong version bytes, oversized length
+    /// headers and deeply nested payloads.
+    #[test]
+    fn frame_decoder_never_panics_on_hostile_bytes(
+        frame_index in 0usize..8,
+        junk in proptest::collection::vec(any::<u8>(), 0..96),
+        cut in any::<usize>(),
+        flip_at in any::<usize>(),
+        flip in 1u8..=255,
+        version in any::<u8>(),
+        excess in 1u32..=(u32::MAX - MAX_FRAME_LEN),
+        depth in 1usize..4096,
+    ) {
+        let frame = valid_frames().swap_remove(frame_index);
+
+        // Random bytes, bare and as the payload of a well-formed header.
+        let _ = decode_both(&junk);
+        let mut framed = vec![PROTOCOL_VERSION];
+        framed.extend_from_slice(&(junk.len() as u32).to_be_bytes());
+        framed.extend_from_slice(&junk);
+        for result in decode_both(&framed) {
+            prop_assert!(!matches!(result, Err(WireError::VersionMismatch { .. } | WireError::FrameTooLarge { .. })));
+        }
+
+        // A valid frame cut short: `Closed` at the boundary, an error after.
+        let cut = cut % frame.len();
+        for result in decode_both(&frame[..cut]) {
+            if cut == 0 {
+                prop_assert_eq!(result, Err(WireError::Closed));
+            } else {
+                prop_assert!(matches!(result, Err(WireError::Io(_))), "{:?}", result);
+            }
+        }
+
+        // A valid frame with one payload byte changed.
+        let mut flipped = frame.clone();
+        let at = 5 + flip_at % (frame.len() - 5);
+        flipped[at] ^= flip;
+        let _ = decode_both(&flipped);
+
+        // Any other version byte is refused before the length is read.
+        prop_assume!(version != PROTOCOL_VERSION);
+        let mut wrong = frame.clone();
+        wrong[0] = version;
+        for result in decode_both(&wrong) {
+            prop_assert_eq!(result, Err(WireError::VersionMismatch { got: version, expected: PROTOCOL_VERSION }));
+        }
+
+        // A length header above the limit is refused before any payload is
+        // read (or allocated).
+        let len = MAX_FRAME_LEN + excess;
+        let mut oversized = vec![PROTOCOL_VERSION];
+        oversized.extend_from_slice(&len.to_be_bytes());
+        oversized.extend_from_slice(&frame[5..]);
+        for result in decode_both(&oversized) {
+            prop_assert_eq!(result, Err(WireError::FrameTooLarge { len }));
+        }
+
+        // Nesting far past any real message: a codec error, not a stack
+        // overflow.
+        let nested = "[".repeat(depth * 64) + &"]".repeat(depth * 64);
+        let mut deep = vec![PROTOCOL_VERSION];
+        deep.extend_from_slice(&(nested.len() as u32).to_be_bytes());
+        deep.extend_from_slice(nested.as_bytes());
+        for result in decode_both(&deep) {
+            prop_assert!(matches!(result, Err(WireError::Codec(_))), "{:?}", result);
+        }
     }
 }
