@@ -90,14 +90,14 @@ pub struct Chain {
 // serialized input can desynchronise the binary-search fast path (and the
 // wire format stays the pre-cache one).
 impl Serialize for Chain {
-    fn to_value(&self) -> serde::Value {
-        self.pts.to_value()
+    fn serialize(&self, sink: &mut dyn serde::Sink) {
+        self.pts.serialize(sink);
     }
 }
 
 impl Deserialize for Chain {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Vec::<Point>::from_value(v).map(Chain::new)
+    fn deserialize(src: &mut dyn serde::Source) -> Result<Self, serde::Error> {
+        Vec::<Point>::deserialize(src).map(Chain::new)
     }
 }
 

@@ -10,7 +10,7 @@
 
 use crate::protocol::{read_message, write_message, Request, Response, SceneId, ServerError, ServerStats, WireError};
 use rsp_geom::{Dist, ObstacleSet, Point, RectiPath};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Why a client call failed.
@@ -45,7 +45,9 @@ impl From<WireError> for ClientError {
 
 /// A connected client.
 pub struct Client {
-    stream: TcpStream,
+    /// Responses are read through the buffer; requests are written to the
+    /// socket itself.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -54,12 +56,12 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client { stream: BufReader::new(stream) })
     }
 
     /// Send one request and read its response.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_message(&mut self.stream, request)?;
+        write_message(self.stream.get_mut(), request)?;
         let response: Response = read_message(&mut self.stream)?;
         if let Response::Error { error } = response {
             return Err(ClientError::Server(error));

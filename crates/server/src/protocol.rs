@@ -425,21 +425,28 @@ impl From<std::io::Error> for WireError {
 }
 
 /// Write one framed message: version byte, big-endian length, JSON payload.
+/// The frame goes out in a single `write_all`, so an unbuffered socket sends
+/// it as one segment and wakes the reader once, not once per part.
 pub fn write_message<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), WireError> {
     let text = serde_json::to_string(msg).map_err(|e| WireError::Codec(e.to_string()))?;
     let bytes = text.as_bytes();
     if bytes.len() > MAX_FRAME_LEN as usize {
         return Err(WireError::FrameTooLarge { len: bytes.len() as u32 });
     }
-    w.write_all(&[PROTOCOL_VERSION])?;
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(5 + bytes.len());
+    frame.push(PROTOCOL_VERSION);
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
 
 /// Read one framed message.  A clean end-of-stream at a frame boundary is
-/// [`WireError::Closed`]; EOF mid-frame is an I/O error.
+/// [`WireError::Closed`]; EOF mid-frame is an I/O error.  It reads the
+/// header and the payload separately, so give it a buffered reader (as the
+/// server and [`Client`](crate::client::Client) do) rather than a bare
+/// socket.
 pub fn read_message<R: Read, T: Deserialize>(r: &mut R) -> Result<T, WireError> {
     let mut version = [0u8; 1];
     if let Err(e) = r.read_exact(&mut version) {
@@ -560,6 +567,30 @@ mod tests {
         assert_eq!(read_message::<_, Request>(&mut cursor).unwrap(), Request::Stats);
         assert_eq!(read_message::<_, Request>(&mut cursor).unwrap(), Request::Evict { scene: 5 });
         assert_eq!(read_message::<_, Request>(&mut cursor).unwrap_err(), WireError::Closed);
+    }
+
+    /// Records the size of every `write` call it receives.
+    struct Writes(Vec<usize>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let request = Request::BatchDistances { scene: 9, pairs: vec![(Point::new(0, 0), Point::new(5, 5)); 64] };
+        let mut writes = Writes(Vec::new());
+        write_message(&mut writes, &request).unwrap();
+        let mut frame = Vec::new();
+        write_message(&mut frame, &request).unwrap();
+        assert_eq!(writes.0, vec![frame.len()]);
     }
 
     #[test]

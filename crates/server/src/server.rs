@@ -10,7 +10,7 @@
 use crate::protocol::{read_message, write_message, Request, WireError};
 use crate::service::RspService;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -117,7 +117,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) -> Vec<JoinHa
 
 /// One connection: a strict request/response loop.  Returns (closing the
 /// connection) on peer disconnect, any framing error, or server shutdown.
-fn serve_conn(mut stream: TcpStream, shared: &Arc<ServerShared>) {
+fn serve_conn(stream: TcpStream, shared: &Arc<ServerShared>) {
+    // Reads go through the buffer (one `recv` per frame); replies are
+    // written to the socket itself.
+    let mut stream = BufReader::new(stream);
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -129,7 +132,7 @@ fn serve_conn(mut stream: TcpStream, shared: &Arc<ServerShared>) {
             Err(WireError::Closed) | Err(_) => return,
         };
         let response = shared.service.handle(request);
-        if write_message(&mut stream, &response).is_err() {
+        if write_message(stream.get_mut(), &response).is_err() {
             return;
         }
     }
