@@ -33,20 +33,13 @@ pub struct VertexApsp {
 }
 
 impl VertexApsp {
-    /// Build the dense matrix, parallelising over the `4n` sources.
+    /// Build the dense matrix, fanning the `4n` sources out over the current
+    /// rayon pool (on a one-worker pool this is the Section 9 sequential
+    /// construction).
     pub fn build(obstacles: &ObstacleSet) -> Self {
         let engine = SingleSourceEngine::new(obstacles);
         let vertices = engine.vertices().to_vec();
         let rows: Vec<Vec<Dist>> = vertices.par_iter().map(|&v| engine.distances_from(v)).collect();
-        Self::from_rows(vertices, rows)
-    }
-
-    /// Build the dense matrix sequentially (the Section 9 baseline); used by
-    /// the E8 experiment for the parallel-vs-sequential comparison.
-    pub fn build_sequential(obstacles: &ObstacleSet) -> Self {
-        let engine = SingleSourceEngine::new(obstacles);
-        let vertices = engine.vertices().to_vec();
-        let rows: Vec<Vec<Dist>> = vertices.iter().map(|&v| engine.distances_from(v)).collect();
         Self::from_rows(vertices, rows)
     }
 
@@ -209,7 +202,7 @@ mod tests {
     fn parallel_matches_sequential_and_truth() {
         let obs = obstacles();
         let par = VertexApsp::build(&obs);
-        let seq = VertexApsp::build_sequential(&obs);
+        let seq = rsp_pram::pool::run_on_pool(1, || VertexApsp::build(&obs));
         assert_eq!(par.matrix().expect("dense build"), seq.matrix().expect("dense build"));
         let verts = obs.vertices();
         let truth = ground_truth_matrix(&obs, &verts);

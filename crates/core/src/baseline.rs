@@ -43,7 +43,7 @@ mod tests {
     #[test]
     fn baselines_agree_with_each_other() {
         let obs = obstacles();
-        let fast = crate::apsp::VertexApsp::build_sequential(&obs);
+        let fast = crate::apsp::VertexApsp::build(&obs);
         let slow = dijkstra_sssp_matrix(&obs);
         assert_eq!(fast.matrix().expect("dense build"), &slow);
     }

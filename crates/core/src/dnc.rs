@@ -44,21 +44,19 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tuning knobs for the divide-and-conquer.
+///
+/// The recursion always bottoms out at one obstacle (the paper's leaf) and
+/// always recurses with `rayon::join` (the PRAM schedule); its width comes
+/// from the pool it runs on, and a one-worker pool runs it sequentially.
 #[derive(Clone, Debug)]
 pub struct DncOptions {
-    /// Maximum number of obstacles handled directly in a leaf (closed-form
-    /// distances; the default of 1 matches the paper's recursion bottom).
-    pub leaf_obstacles: usize,
     /// Use the Monge (SMAWK) product when the factors pass the Monge check.
     pub use_monge: bool,
-    /// Recurse with `rayon::join` (the PRAM schedule); `false` forces the
-    /// sequential schedule for the E9 scaling experiment.
-    pub parallel: bool,
 }
 
 impl Default for DncOptions {
     fn default() -> Self {
-        DncOptions { leaf_obstacles: 1, use_monge: true, parallel: true }
+        DncOptions { use_monge: true }
     }
 }
 
@@ -201,7 +199,7 @@ fn solve(
     Counters::max_update(&counters.max_depth, depth);
     let points = boundary_discretisation(&region, &obstacles);
     Counters::max_update(&counters.largest_boundary, points.len());
-    if obstacles.len() <= opts.leaf_obstacles {
+    if obstacles.len() <= 1 {
         counters.leaves.fetch_add(1, Ordering::Relaxed);
         let dist = leaf_matrix(&obstacles, &points);
         return NodeResult::build(region, points, dist);
@@ -246,7 +244,7 @@ fn solve(
         let dist = hanan_matrix(&obstacles, &points);
         return NodeResult::build(region, points, dist);
     }
-    let (child_above, child_below) = if opts.parallel && obstacles.len() > 8 {
+    let (child_above, child_below) = if obstacles.len() > 8 {
         rayon::join(
             || solve(above_obs.clone(), region_above.clone(), opts, depth + 1, counters),
             || solve(below_obs.clone(), region_below.clone(), opts, depth + 1, counters),
@@ -601,7 +599,7 @@ mod tests {
     fn monge_and_general_products_agree() {
         let w = rsp_workload::uniform_disjoint(10, 77);
         let a = build_boundary_matrix_bbox(&w.obstacles, 3, &DncOptions::default());
-        let b = build_boundary_matrix_bbox(&w.obstacles, 3, &DncOptions { use_monge: false, ..DncOptions::default() });
+        let b = build_boundary_matrix_bbox(&w.obstacles, 3, &DncOptions { use_monge: false });
         assert_eq!(a.dist, b.dist);
         assert!(a.stats.monge_products + a.stats.general_products > 0);
         assert_eq!(b.stats.monge_products, 0);
@@ -611,7 +609,7 @@ mod tests {
     fn sequential_and_parallel_schedules_agree() {
         let w = rsp_workload::uniform_disjoint(12, 5);
         let a = build_boundary_matrix_bbox(&w.obstacles, 3, &DncOptions::default());
-        let b = build_boundary_matrix_bbox(&w.obstacles, 3, &DncOptions { parallel: false, ..DncOptions::default() });
+        let b = rsp_pram::pool::run_on_pool(1, || build_boundary_matrix_bbox(&w.obstacles, 3, &DncOptions::default()));
         assert_eq!(a.dist, b.dist);
         assert_eq!(a.points, b.points);
         assert!(a.stats.nodes >= 3);

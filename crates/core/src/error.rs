@@ -9,7 +9,7 @@
 //! can use `?` and `Box<dyn Error>` like with any other Rust library.
 
 use crate::instance::InstanceError;
-use rsp_geom::{DisjointnessViolation, Point, RectId};
+use rsp_geom::{Coord, DisjointnessViolation, Point, RectId, MAX_COORD};
 
 /// Everything that can go wrong when building a [`Router`](crate::router::Router)
 /// or serving a query through it.
@@ -41,6 +41,10 @@ pub enum RspError {
     /// [`Router::apply_delta`](crate::router::Router::apply_delta) is
     /// malformed (removal out of range or duplicated).
     InvalidDelta(rsp_geom::DeltaError),
+    /// The container would reach past [`MAX_COORD`] (an obstacle coordinate
+    /// pushed out by the margin; carries that coordinate), where a distance
+    /// could exceed the `INF` sentinel.
+    CoordinateOutOfRange(Coord),
 }
 
 impl std::fmt::Display for RspError {
@@ -62,6 +66,9 @@ impl std::fmt::Display for RspError {
             }
             RspError::ThreadPool(msg) => write!(f, "failed to build the thread pool: {msg}"),
             RspError::InvalidDelta(e) => write!(f, "invalid scene delta: {e}"),
+            RspError::CoordinateOutOfRange(c) => {
+                write!(f, "container coordinate {c} lies outside the supported range ±{MAX_COORD}")
+            }
         }
     }
 }

@@ -28,7 +28,7 @@
 //! use rsp_geom::{ObstacleSet, Point, Rect};
 //!
 //! let router = Router::builder(ObstacleSet::new(vec![Rect::new(2, 2, 6, 10)]))
-//!     .engine(Engine::Auto)
+//!     .engine(Engine::Sweep)
 //!     .build()?;
 //! let d = router.distance(Point::new(0, 0), Point::new(8, 12))?;
 //! assert!(d >= 18);
@@ -49,26 +49,35 @@ use crate::trace::{escape_path, EscapeKind};
 use crate::tree::RecursionTree;
 use rayon::prelude::*;
 use rsp_geom::rayshoot::ShootIndex;
-use rsp_geom::{Chain, Coord, Dist, ObstacleSet, Point, RectiPath, SceneDelta};
+use rsp_geom::{Chain, Coord, Dist, ObstacleSet, Point, Rect, RectiPath, SceneDelta, MAX_COORD};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Which construction engine a [`Router`] uses for its substructures.
+///
+/// There is one schedule per algorithm: how many workers run it comes only
+/// from [`RouterBuilder::threads`] (or the global rayon pool).  A one-worker
+/// pool *is* the sequential schedule (Brent's theorem, Theorem 1 of the
+/// paper), so no separate sequential engine exists.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// Pick automatically: [`Engine::DivideAndConquer`] unless the session is
-    /// pinned to a single thread, then [`Engine::Sequential`].
-    Auto,
-    /// The Section 9 sequential construction: single-threaded APSP sweep and
-    /// sequential divide-and-conquer schedule.
-    Sequential,
-    /// The paper's parallel schedule: the `4n`-source fan-out for the vertex
-    /// APSP and the `rayon::join` divide-and-conquer for `D_Q`.
-    DivideAndConquer,
+    /// The paper's construction (the default): the Section 9 sweep fanned
+    /// out over the `4n` vertex sources for the vertex APSP, and the
+    /// `rayon::join` divide-and-conquer for `D_Q`.
+    Sweep,
     /// Ground-truth comparator: a Hanan-grid Dijkstra per source.  Slow
     /// (`O(n^3 log n)` work) but independent of the paper's machinery; used
-    /// to cross-check the other engines.
+    /// to cross-check [`Engine::Sweep`].
     HananBaseline,
+}
+
+impl Engine {
+    /// Former name of the one-worker schedule, now [`Engine::Sweep`].  It
+    /// exists only because the benchmark package (`perfbench/src/common.rs`)
+    /// still names it and may change only together with the benchmark;
+    /// nothing else uses it.
+    #[allow(non_upper_case_globals)]
+    pub const Sequential: Engine = Engine::Sweep;
 }
 
 /// How many times each lazily built substructure has actually been
@@ -122,11 +131,10 @@ pub struct RouterBuilder {
     store: StoreKind,
     threads: Option<usize>,
     margin: Coord,
-    dnc: Option<DncOptions>,
 }
 
 impl RouterBuilder {
-    /// Select the construction engine (default [`Engine::Auto`]).
+    /// Select the construction engine (default [`Engine::Sweep`]).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -157,19 +165,13 @@ impl RouterBuilder {
         self
     }
 
-    /// Override the divide-and-conquer tuning knobs (default: derived from
-    /// the engine — sequential schedule for [`Engine::Sequential`], parallel
-    /// otherwise).
-    pub fn dnc_options(mut self, opts: DncOptions) -> Self {
-        self.dnc = Some(opts);
-        self
-    }
-
     /// Validate the input and assemble the router.  Fails with
     /// [`RspError::OverlappingObstacles`] (naming the offending pair) when
-    /// two obstacles overlap; no substructure is built yet — each is
-    /// constructed lazily on first use.
+    /// two obstacles overlap, and with [`RspError::CoordinateOutOfRange`]
+    /// when the container would reach past [`MAX_COORD`]; no substructure
+    /// is built yet — each is constructed lazily on first use.
     pub fn build(self) -> Result<Router, RspError> {
+        check_coordinate_range(&self.obstacles.bbox().unwrap_or(Rect::new(0, 0, 1, 1)), self.margin)?;
         let store = self.store.resolve(self.obstacles.len());
         let instance = Instance::with_margin(self.obstacles, self.margin);
         instance.validate()?;
@@ -182,24 +184,11 @@ impl RouterBuilder {
             ),
             None => None,
         };
-        let engine = match self.engine {
-            Engine::Auto => {
-                if self.threads == Some(1) {
-                    Engine::Sequential
-                } else {
-                    Engine::DivideAndConquer
-                }
-            }
-            other => other,
-        };
-        let dnc =
-            self.dnc.unwrap_or(DncOptions { parallel: !matches!(engine, Engine::Sequential), ..DncOptions::default() });
         Ok(Router {
             instance,
-            engine,
+            engine: self.engine,
             store,
             pool,
-            dnc,
             threads: self.threads,
             margin: self.margin,
             epoch: 0,
@@ -213,6 +202,23 @@ impl RouterBuilder {
     }
 }
 
+/// Reject a container that would reach past [`MAX_COORD`]: `rect` pushed
+/// out by `margin` on every side must stay inside `±MAX_COORD`.  (The
+/// default container of an empty scene is `[0,1] x [0,1]` plus the margin,
+/// as in [`Instance::with_margin`].)
+fn check_coordinate_range(rect: &Rect, margin: Coord) -> Result<(), RspError> {
+    let reach = [
+        rect.xmin.saturating_sub(margin),
+        rect.ymin.saturating_sub(margin),
+        rect.xmax.saturating_add(margin),
+        rect.ymax.saturating_add(margin),
+    ];
+    match reach.into_iter().find(|c| !(-MAX_COORD..=MAX_COORD).contains(c)) {
+        Some(c) => Err(RspError::CoordinateOutOfRange(c)),
+        None => Ok(()),
+    }
+}
+
 /// A query-serving session over one obstacle set: the single public entry
 /// point of the workspace (see the module docs).
 pub struct Router {
@@ -220,7 +226,6 @@ pub struct Router {
     engine: Engine,
     store: StoreKind,
     pool: Option<rayon::ThreadPool>,
-    dnc: DncOptions,
     /// Builder configuration retained so [`Router::apply_delta`] can clone
     /// the session setup into the next epoch.
     threads: Option<usize>,
@@ -242,7 +247,7 @@ pub struct Router {
 impl Router {
     /// Start configuring a router for the given obstacles.
     pub fn builder(obstacles: ObstacleSet) -> RouterBuilder {
-        RouterBuilder { obstacles, engine: Engine::Auto, store: StoreKind::Auto, threads: None, margin: 2, dnc: None }
+        RouterBuilder { obstacles, engine: Engine::Sweep, store: StoreKind::Auto, threads: None, margin: 2 }
     }
 
     /// Shorthand: a router over `obstacles` with all defaults.
@@ -265,8 +270,7 @@ impl Router {
         self.instance.n()
     }
 
-    /// The engine this router resolved to ([`Engine::Auto`] is resolved at
-    /// build time and never stored).
+    /// The construction engine of this router.
     pub fn engine(&self) -> Engine {
         self.engine
     }
@@ -281,7 +285,7 @@ impl Router {
     /// the edited obstacle set.  `self` is untouched: in-flight queries keep
     /// their snapshot, and both sessions stay fully usable side by side.
     ///
-    /// The new session inherits the resolved engine, store kind, margin and
+    /// The new session inherits the engine, resolved store kind, margin and
     /// thread pinning, and *reuses from this session's already-built oracle*
     /// every substructure the delta provably cannot affect: unchanged
     /// distance rows (dense and implicit), untouched escape staircases and
@@ -294,8 +298,12 @@ impl Router {
     ///
     /// Validation is *incremental*: removals are range/duplicate-checked and
     /// each inserted rectangle is checked against the whole edited scene
-    /// (`O(k · n)` instead of the builder's `O(n^2)` full scan).
+    /// (`O(k · n)` instead of the builder's `O(n^2)` full scan) and against
+    /// the coordinate range ([`RspError::CoordinateOutOfRange`]).
     pub fn apply_delta(&self, delta: &SceneDelta) -> Result<Router, RspError> {
+        for rect in &delta.insert {
+            check_coordinate_range(rect, self.margin)?;
+        }
         let applied = self.instance.obstacles().apply_delta(delta)?;
         applied.validate_disjoint_incremental()?;
         let pool = match self.threads {
@@ -322,7 +330,6 @@ impl Router {
             engine: self.engine,
             store: self.store,
             pool,
-            dnc: self.dnc.clone(),
             threads: self.threads,
             margin: self.margin,
             epoch: self.epoch + 1,
@@ -414,11 +421,10 @@ impl Router {
             (StoreKind::Implicit { budget_bytes }, _) => VertexApsp::build_implicit(obstacles, budget_bytes),
             // Dense store: the eager builders (Auto was resolved to a
             // concrete store kind at build time).
-            (_, Engine::Sequential) => VertexApsp::build_sequential(obstacles),
             (_, Engine::HananBaseline) => {
                 VertexApsp::from_matrix(obstacles.vertices(), dijkstra_sssp_matrix(obstacles))
             }
-            (_, Engine::Auto | Engine::DivideAndConquer) => VertexApsp::build(obstacles),
+            (_, Engine::Sweep) => VertexApsp::build(obstacles),
         }
     }
 
@@ -710,8 +716,9 @@ impl Router {
     pub fn boundary_matrix(&self) -> Arc<BoundaryMatrix> {
         Arc::clone(self.boundary.get_or_init(|| {
             self.counts.boundary.fetch_add(1, Ordering::Relaxed);
-            let bm =
-                self.in_pool(|| build_boundary_matrix(self.instance.obstacles(), self.instance.container(), &self.dnc));
+            let bm = self.in_pool(|| {
+                build_boundary_matrix(self.instance.obstacles(), self.instance.container(), &DncOptions::default())
+            });
             Arc::new(bm)
         }))
     }
@@ -852,9 +859,10 @@ mod tests {
     fn engines_agree_and_resolve() {
         let w = uniform_disjoint(6, 14);
         let auto = Router::new(w.obstacles.clone()).unwrap();
-        assert_eq!(auto.engine(), Engine::DivideAndConquer);
+        assert_eq!(auto.engine(), Engine::Sweep);
+        // Pinning one worker changes the schedule, never the engine.
         let single = Router::builder(w.obstacles.clone()).threads(1).build().unwrap();
-        assert_eq!(single.engine(), Engine::Sequential);
+        assert_eq!(single.engine(), Engine::Sweep);
         let hanan = Router::builder(w.obstacles.clone()).engine(Engine::HananBaseline).build().unwrap();
         let verts = w.obstacles.vertices();
         for &a in verts.iter().step_by(3) {
@@ -1077,7 +1085,7 @@ mod tests {
         let base = uniform_disjoint(12, 5).obstacles;
         let delta = SceneDelta { insert: vec![Rect::new(400, 400, 404, 404)], remove: vec![] };
         let edited_set = base.apply_delta(&delta).unwrap().obstacles;
-        for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
+        for engine in [Engine::Sweep, Engine::HananBaseline] {
             let parent = Router::builder(base.clone()).engine(engine).build().unwrap();
             let verts = base.vertices();
             let _ = parent.vertex_distance(verts[0], verts[7]).unwrap();

@@ -350,7 +350,7 @@ mod tests {
     fn sequential_apsp_is_symmetric_and_matches_truth() {
         let obs = random_disjoint(8, 42);
         let verts = obs.vertices();
-        let apsp = crate::apsp::VertexApsp::build_sequential(&obs);
+        let apsp = crate::apsp::VertexApsp::build(&obs);
         let truth = ground_truth_matrix(&obs, &verts);
         for (i, truth_row) in truth.iter().enumerate() {
             for (j, &d) in truth_row.iter().enumerate() {

@@ -19,12 +19,9 @@
 //! calling the *same* per-source routine on the *same* source vertex, so an
 //! implicit store returns bit-for-bit the numbers the dense matrix holds —
 //! independent of materialisation order, eviction history or thread count.
-//! (The lazy SMAWK product machinery of
-//! [`ImplicitMongeMatrix`](rsp_monge::ImplicitMongeMatrix) plays the
-//! analogous role one level down, for boundary-matrix blocks; Lemma 1's
-//! Monge guarantee holds for boundary portions of convex clear regions, not
-//! for the scattered vertex set `V_R`, which is why the vertex store caches
-//! generator rows rather than SMAWK minima.)
+//! (Lemma 1's Monge guarantee holds for boundary portions of convex clear
+//! regions, not for the scattered vertex set `V_R`, which is why the vertex
+//! store caches generator rows rather than SMAWK minima.)
 
 use crate::seq::SingleSourceEngine;
 use rsp_geom::hanan::HananGrid;
@@ -642,7 +639,7 @@ mod tests {
 
     /// The dense store the sequential §9 construction builds.
     fn sequential_dense(obstacles: &ObstacleSet) -> DistanceStore {
-        let apsp = crate::apsp::VertexApsp::build_sequential(obstacles);
+        let apsp = crate::apsp::VertexApsp::build(obstacles);
         DistanceStore::dense(apsp.matrix().expect("dense build").clone())
     }
 

@@ -14,6 +14,23 @@ pub type Dist = i64;
 /// overflow and `INF` still compares larger than any realistic path length.
 pub const INF: Dist = i64::MAX / 4;
 
+/// Largest supported |coordinate| of the instance container (the obstacle
+/// bounding box pushed out by the container margin): `INF / 32`, which is
+/// `2^56 - 1`.
+///
+/// Why this bound.  With every container coordinate in
+/// `[-MAX_COORD, MAX_COORD]`, the container is at most `W, H <= 2·MAX_COORD`
+/// wide and high.  A free point reaches the obstacle-free margin ring by a
+/// monotone escape staircase of length at most `W + H`; two ring points are
+/// at most `W + H` apart along the ring; and a staircase leads back in.  So
+/// every finite distance is at most `3(W + H) <= 12·MAX_COORD`.  The query
+/// layers add two distances before they compare (`sat_add`), and that sum
+/// is at most `24·MAX_COORD = 0.75·INF`.  No true length therefore reaches
+/// the `INF` ("unreachable") sentinel, and no sum overflows.  Past the bound
+/// a reachable pair could come back as `INF`, so scenes that reach past it
+/// are rejected when a session is built or edited.
+pub const MAX_COORD: Coord = INF / 32;
+
 /// A point in the plane with integer coordinates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Point {
@@ -165,5 +182,9 @@ mod tests {
     fn inf_is_safe_to_add() {
         const { assert!(INF + INF > 0) };
         const { assert!(INF > 1_000_000_000_000) };
+        // The derivation on `MAX_COORD`: two distances of at most
+        // `3(W + H) <= 12·MAX_COORD` each still sum to less than `INF`.
+        const { assert!(24 * MAX_COORD < INF) };
+        assert_eq!(MAX_COORD, (1 << 56) - 1);
     }
 }

@@ -59,13 +59,15 @@ impl StairRegion {
     }
 
     /// Twice the signed area (positive for counterclockwise orientation).
-    pub fn signed_area2(&self) -> i64 {
+    /// Computed in `i128`: the cross products of coordinates near
+    /// [`MAX_COORD`](crate::point::MAX_COORD) do not fit in `i64`.
+    pub fn signed_area2(&self) -> i128 {
         let n = self.verts.len();
-        let mut acc = 0i64;
+        let mut acc = 0i128;
         for i in 0..n {
             let a = self.verts[i];
             let b = self.verts[(i + 1) % n];
-            acc += a.x * b.y - b.x * a.y;
+            acc += a.x as i128 * b.y as i128 - b.x as i128 * a.y as i128;
         }
         acc
     }

@@ -1,23 +1,13 @@
-//! Implicit (min,+) matrices: lazy SMAWK entry evaluation behind a
-//! byte-budgeted block cache.
+//! A byte-budgeted LRU cache of (min,+) matrix blocks.
 //!
-//! A dense `α x β` product costs `O(αβ)` memory whether or not anyone ever
-//! reads most of it.  [`ImplicitMongeMatrix`] stores only its two factors
-//! and materialises *blocks* (rows) on demand — one SMAWK pass per row when
-//! the right factor is Monge ([`min_plus_product_row`]) — keeping the
-//! resident footprint bounded by a caller-chosen byte budget.  Hot query
-//! regions stay materialised; cold rows are recomputed if they come back.
-//!
-//! The cache itself, [`BlockCache`], is deliberately generic (blocks are
-//! `Arc<[Entry]>` keyed by `u64`): `rsp-core`'s distance store reuses it to
-//! cache single-source distance rows, so eviction policy and byte accounting
-//! live in exactly one place.
+//! [`BlockCache`] is deliberately generic (blocks are `Arc<[Entry]>` keyed by
+//! `u64`): `rsp-core`'s implicit distance store uses it to cache
+//! single-source distance rows, so eviction policy, pinning and byte
+//! accounting live in exactly one place.
 
 use crate::matrix::Entry;
-use crate::multiply::{min_plus_product_row, min_plus_product_row_general, min_plus_product_rows};
-use crate::view::MatrixAccess;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Counter snapshot of a [`BlockCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -229,206 +219,38 @@ impl BlockCache {
     }
 }
 
-/// A lazily evaluated (min,+) product `A * B` that never materialises
-/// itself: rows are computed on demand by one SMAWK pass each (when `B` is
-/// Monge) and cached in a byte-budgeted [`BlockCache`].  Entries are
-/// bitwise-identical to the eager [`min_plus_parallel`]
-/// (see [`min_plus_product_row`] for why).
-///
-/// [`min_plus_parallel`]: crate::multiply::min_plus_parallel
-pub struct ImplicitMongeMatrix<A, B> {
-    a: A,
-    b: B,
-    monge: bool,
-    cache: Mutex<BlockCache>,
-}
-
-impl<A: MatrixAccess, B: MatrixAccess> ImplicitMongeMatrix<A, B> {
-    /// The lazy product of two factors the caller certifies as Monge (the
-    /// situation Lemma 3 creates: both factors are boundary path-length
-    /// matrices across a separator).
-    pub fn product(a: A, b: B, budget_bytes: usize) -> Self {
-        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-        ImplicitMongeMatrix { a, b, monge: true, cache: Mutex::new(BlockCache::new(budget_bytes)) }
-    }
-
-    /// The lazy product of factors with no Monge guarantee: rows cost a full
-    /// `O(cols(B) · cols(A))` scan instead of a SMAWK pass.
-    pub fn product_general(a: A, b: B, budget_bytes: usize) -> Self {
-        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-        ImplicitMongeMatrix { a, b, monge: false, cache: Mutex::new(BlockCache::new(budget_bytes)) }
-    }
-
-    /// Number of rows of the (never materialised) product.
-    pub fn rows(&self) -> usize {
-        self.a.rows()
-    }
-
-    /// Number of columns of the product.
-    pub fn cols(&self) -> usize {
-        self.b.cols()
-    }
-
-    /// Row `i` of the product, materialised on first use and cached while
-    /// the byte budget allows.
-    pub fn row(&self, i: usize) -> Arc<[Entry]> {
-        assert!(i < self.rows(), "row out of range");
-        let mut cache = self.cache.lock().expect("implicit product cache poisoned");
-        cache.get_or_insert_with(i as u64, || {
-            if self.monge {
-                min_plus_product_row(&self.a, &self.b, i)
-            } else {
-                min_plus_product_row_general(&self.a, &self.b, i)
-            }
-        })
-    }
-
-    /// Entry `(i, j)` of the product.
-    pub fn at(&self, i: usize, j: usize) -> Entry {
-        assert!(j < self.cols(), "column out of range");
-        self.row(i)[j]
-    }
-
-    /// Materialise a batch of rows at once, in request order.
-    ///
-    /// Resident rows are served from the cache (counting hits); the missing
-    /// ones are computed together through [`min_plus_product_rows`], which
-    /// reuses the SMAWK-reduced column set between adjacent rows instead of
-    /// re-reducing from scratch per row, then inserted (counting one miss
-    /// each).  The returned `Arc`s keep every requested row alive even when
-    /// the byte budget forces some of them straight back out of the cache,
-    /// so correctness never depends on the budget.
-    pub fn rows_batch(&self, rows: &[usize]) -> Vec<Arc<[Entry]>> {
-        for &i in rows {
-            assert!(i < self.rows(), "row out of range");
-        }
-        let mut distinct: Vec<usize> = rows.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut cache = self.cache.lock().expect("implicit product cache poisoned");
-        let mut handles: HashMap<usize, Arc<[Entry]>> = HashMap::with_capacity(distinct.len());
-        let missing: Vec<usize> = distinct
-            .into_iter()
-            .filter(|&i| match cache.peek(i as u64) {
-                Some(data) => {
-                    handles.insert(i, data);
-                    false
-                }
-                None => true,
-            })
-            .collect();
-        let built = if self.monge {
-            min_plus_product_rows(&self.a, &self.b, &missing)
-        } else {
-            missing.iter().map(|&i| min_plus_product_row_general(&self.a, &self.b, i)).collect()
-        };
-        for (&i, data) in missing.iter().zip(built) {
-            let handle = cache.get_or_insert_with(i as u64, || data);
-            handles.insert(i, handle);
-        }
-        rows.iter().map(|i| Arc::clone(&handles[i])).collect()
-    }
-
-    /// Cache counter snapshot (resident bytes, hit/miss/eviction counts).
-    pub fn cache_stats(&self) -> BlockCacheStats {
-        self.cache.lock().expect("implicit product cache poisoned").stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::MinPlusMatrix;
-    use crate::monge::distance_monge;
-    use crate::multiply::{min_plus_naive, min_plus_parallel};
 
-    fn random_monge(rows: usize, cols: usize, seed: u64) -> MinPlusMatrix {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut xs: Vec<i64> = (0..rows).map(|_| rng.gen_range(-200..200)).collect();
-        let mut ys: Vec<i64> = (0..cols).map(|_| rng.gen_range(-200..200)).collect();
-        xs.sort();
-        ys.sort();
-        distance_monge(&xs, &ys, rng.gen_range(0..30))
-    }
-
-    #[test]
-    fn implicit_product_is_bitwise_equal_to_eager() {
-        for seed in 0..6 {
-            let a = random_monge(10, 7, seed);
-            let b = random_monge(7, 12, seed + 31);
-            let eager = min_plus_parallel(&a, &b);
-            let lazy = ImplicitMongeMatrix::product(&a, &b, usize::MAX);
-            assert_eq!((lazy.rows(), lazy.cols()), (eager.rows(), eager.cols()));
-            for i in 0..eager.rows() {
-                for j in 0..eager.cols() {
-                    assert_eq!(lazy.at(i, j), eager.get(i, j), "seed {seed} ({i},{j})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn general_mode_handles_non_monge_factors() {
-        // The (min,+) identity is not Monge; the general row scan still
-        // multiplies it correctly.
-        let a = random_monge(5, 4, 3);
-        let id = MinPlusMatrix::from_fn(4, 4, |i, j| if i == j { 0 } else { crate::matrix::INF });
-        let lazy = ImplicitMongeMatrix::product_general(&a, &id, usize::MAX);
-        let truth = min_plus_naive(&a, &id);
-        for i in 0..a.rows() {
-            for j in 0..id.cols() {
-                assert_eq!(lazy.at(i, j), truth.get(i, j));
-            }
-        }
+    /// A deterministic `cols`-entry block for `key`, standing in for a row
+    /// that is expensive to rebuild.
+    fn block(key: u64, cols: usize) -> Vec<Entry> {
+        (0..cols).map(|j| (key as Entry) * 1000 + j as Entry).collect()
     }
 
     #[test]
     fn budget_bounds_residency_and_counts_evictions() {
-        let a = random_monge(16, 8, 7);
-        let b = random_monge(8, 64, 8);
         let row_bytes = 64 * std::mem::size_of::<Entry>();
         // Room for three rows.
-        let lazy = ImplicitMongeMatrix::product(&a, &b, 3 * row_bytes);
-        for i in 0..16 {
-            let _ = lazy.row(i);
+        let mut cache = BlockCache::new(3 * row_bytes);
+        for k in 0..16u64 {
+            let _ = cache.get_or_insert_with(k, || block(k, 64));
         }
-        let stats = lazy.cache_stats();
+        let stats = cache.stats();
         assert_eq!(stats.misses, 16);
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.evictions, 13, "16 rows through a 3-row budget");
         assert!(stats.resident_bytes <= 3 * row_bytes);
-        // Re-reading a resident row is a hit; values survive eviction.
-        let _ = lazy.row(15);
-        assert_eq!(lazy.cache_stats().hits, 1);
-        let eager = min_plus_parallel(&a, &b);
-        for i in 0..16 {
-            assert_eq!(&lazy.row(i)[..], eager.row(i), "row {i} after churn");
+        assert_eq!(stats.budget_bytes, 3 * row_bytes);
+        // Re-reading a resident row is a hit; values survive eviction
+        // (evicted rows are rebuilt on demand).
+        let _ = cache.get_or_insert_with(15, || unreachable!("row 15 is resident"));
+        assert_eq!(cache.stats().hits, 1);
+        for k in 0..16u64 {
+            assert_eq!(&cache.get_or_insert_with(k, || block(k, 64))[..], &block(k, 64)[..], "row {k} after churn");
         }
-    }
-
-    #[test]
-    fn batched_rows_match_single_rows_and_count_one_miss_each() {
-        let a = random_monge(20, 9, 21);
-        let b = random_monge(9, 33, 22);
-        let row_bytes = 33 * std::mem::size_of::<Entry>();
-        let lazy = ImplicitMongeMatrix::product(&a, &b, 2 * row_bytes);
-        let eager = min_plus_parallel(&a, &b);
-        // Duplicates and arbitrary order are allowed; results in request order.
-        let request = [5usize, 2, 17, 2, 9, 5];
-        let batch = lazy.rows_batch(&request);
-        for (out, &i) in batch.iter().zip(&request) {
-            assert_eq!(&out[..], eager.row(i), "row {i}");
-        }
-        let stats = lazy.cache_stats();
-        assert_eq!(stats.misses, 4, "one sweep per distinct row");
-        assert!(stats.resident_bytes <= 2 * row_bytes, "budget still enforced");
-        // General (non-Monge) mode goes through the per-row scan but must
-        // agree bitwise as well.
-        let general = ImplicitMongeMatrix::product_general(&a, &b, usize::MAX);
-        for (out, &i) in general.rows_batch(&request).iter().zip(&request) {
-            assert_eq!(&out[..], eager.row(i), "general row {i}");
-        }
+        assert!(cache.resident_bytes() <= 3 * row_bytes);
     }
 
     #[test]
@@ -542,17 +364,15 @@ mod tests {
 
     #[test]
     fn sub_row_budget_keeps_exactly_one_block() {
-        let a = random_monge(6, 5, 11);
-        let b = random_monge(5, 40, 12);
-        let lazy = ImplicitMongeMatrix::product(&a, &b, 1);
-        for i in 0..6 {
-            let _ = lazy.row(i);
+        let mut cache = BlockCache::new(1);
+        for k in 0..6u64 {
+            let _ = cache.get_or_insert_with(k, || block(k, 40));
         }
-        let stats = lazy.cache_stats();
+        let stats = cache.stats();
         assert_eq!(stats.evictions, 5);
-        assert_eq!(lazy.cache_stats().misses, 6);
-        // The most recent block is pinned through its own insertion.
-        let eager = min_plus_parallel(&a, &b);
-        assert_eq!(&lazy.row(5)[..], eager.row(5));
+        assert_eq!(stats.misses, 6);
+        // The most recent block is kept through its own insertion.
+        assert_eq!(cache.len(), 1);
+        assert_eq!(&cache.peek(5).expect("newest block survives")[..], &block(5, 40)[..]);
     }
 }

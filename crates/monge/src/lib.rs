@@ -24,26 +24,23 @@
 //! * [`MinPlusMatrix`] — a dense `i64` matrix with an `INF` sentinel;
 //! * [`monge`] — the Monge predicate and counter-example search;
 //! * [`smawk`] — SMAWK row-minima of totally monotone matrices;
-//! * [`multiply`] — naive, Monge (row-minima based) and rayon-parallel
-//!   (min,+) products, plus the padded product of Lemma 4 and per-row lazy
-//!   product evaluation;
-//! * [`view`] — borrowing submatrix/padding views and the [`MatrixAccess`]
-//!   trait the predicates and products are generic over;
-//! * [`implicit`] — [`ImplicitMongeMatrix`], a lazy SMAWK-backed (min,+)
-//!   product behind a byte-budgeted LRU [`BlockCache`](implicit::BlockCache).
+//! * [`multiply`] — the naive product, the SMAWK-based Monge product of
+//!   Lemma 3 and the general brute-force product, the last two fanned out
+//!   over the rayon pool;
+//! * [`view`] — borrowing submatrix views and the [`MatrixAccess`] trait the
+//!   predicates and products are generic over;
+//! * [`cache`] — [`BlockCache`], the byte-budgeted LRU block cache behind
+//!   the implicit distance store of `rsp-core`.
 
-pub mod implicit;
+pub mod cache;
 pub mod matrix;
 pub mod monge;
 pub mod multiply;
 pub mod smawk;
 pub mod view;
 
-pub use implicit::{BlockCache, BlockCacheStats, ImplicitMongeMatrix};
+pub use cache::{BlockCache, BlockCacheStats};
 pub use matrix::MinPlusMatrix;
 pub use monge::{is_monge, monge_violation};
-pub use multiply::{
-    min_plus_monge, min_plus_naive, min_plus_parallel, min_plus_product_row, min_plus_product_row_general,
-    min_plus_product_rows,
-};
-pub use view::{MatrixAccess, PaddedView, SubmatrixView};
+pub use multiply::{min_plus_naive, min_plus_parallel};
+pub use view::{MatrixAccess, SubmatrixView};

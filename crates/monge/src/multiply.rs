@@ -3,14 +3,15 @@
 //! * [`min_plus_naive`]: the definition, `O(αγβ)` work.  Used as a baseline
 //!   (this is exactly the "super-quadratic work bottleneck" the paper's
 //!   Monge machinery avoids) and as a correctness oracle in tests.
-//! * [`min_plus_monge`]: `O(αβ + βγ)` work using SMAWK row minima per output
-//!   column — the content of Lemma 3.
-//! * [`min_plus_parallel`]: the same, parallelised over output columns with
-//!   rayon (in the PRAM model this is the `O(log γ)`-time algorithm of
-//!   Lemma 3 after applying Brent's theorem).
-//! * [`min_plus_padded`]: Lemma 4 — pad with `+∞` so the size requirements of
-//!   Lemma 3 hold, multiply, then strip the padding.  The padding is implicit
-//!   here because our implementation does not need the matrices to be square.
+//! * [`min_plus_parallel`]: `O(αβ + βγ)` work using SMAWK row minima per
+//!   output column — the content of Lemma 3 — with the independent columns
+//!   spread over the rayon pool (in the PRAM model this is the
+//!   `O(log γ)`-time algorithm of Lemma 3 after applying Brent's theorem).
+//!   On a one-worker pool it is the sequential schedule of the same work.
+//!   Lemma 4's `+∞` padding never has to be materialised: nothing here needs
+//!   the factors to be square.
+//! * [`min_plus_general_parallel`]: the same column fan-out with brute-force
+//!   row minima, for factors with no Monge guarantee.
 
 use crate::matrix::{Entry, MinPlusMatrix, INF};
 use crate::smawk::{brute_force_row_minima, smawk_row_minima};
@@ -50,37 +51,17 @@ pub fn min_plus_naive(a: &MinPlusMatrix, b: &MinPlusMatrix) -> MinPlusMatrix {
 /// for every output column `j`, the matrix `D_j(i,k) = A(i,k) + B(k,j)` is
 /// totally monotone, so its row minima — which are exactly column `j` of the
 /// product — are found by SMAWK with `O(α + γ)` evaluations.  Total work
-/// `O(β (α + γ))`, i.e. `O(αβ)` under the size hypotheses of Lemma 3.
-/// Generic over [`MatrixAccess`], so borrowed submatrix views multiply
-/// without being copied out first.
-pub fn min_plus_monge<A: MatrixAccess, B: MatrixAccess>(a: &A, b: &B) -> MinPlusMatrix {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let mut c = MinPlusMatrix::infinity(a.rows(), b.cols());
-    if a.rows() == 0 || b.cols() == 0 || a.cols() == 0 {
-        return c;
-    }
-    for j in 0..b.cols() {
-        let eval = |i: usize, k: usize| sat_add(a.at(i, k), b.at(k, j));
-        let minima = smawk_row_minima(a.rows(), a.cols(), &eval);
-        for (i, &k) in minima.iter().enumerate() {
-            c.set(i, j, eval(i, k));
-        }
-    }
-    c
-}
-
-/// Parallel Monge product: the per-column SMAWK calls of [`min_plus_monge`]
-/// are independent, so they are distributed over the rayon pool.
+/// `O(β (α + γ))`, i.e. `O(αβ)` under the size hypotheses of Lemma 3.  The
+/// per-column SMAWK calls are independent, so they are distributed over the
+/// rayon pool.  Generic over [`MatrixAccess`], so borrowed submatrix views
+/// multiply without being copied out first.
 pub fn min_plus_parallel<A, B>(a: &A, b: &B) -> MinPlusMatrix
 where
     A: MatrixAccess + Sync,
     B: MatrixAccess + Sync,
 {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    if a.rows() == 0 || b.cols() == 0 {
-        return MinPlusMatrix::infinity(a.rows(), b.cols());
-    }
-    if a.cols() == 0 {
+    if a.rows() == 0 || b.cols() == 0 || a.cols() == 0 {
         return MinPlusMatrix::infinity(a.rows(), b.cols());
     }
     let cols: Vec<Vec<Entry>> = (0..b.cols())
@@ -120,216 +101,6 @@ where
     MinPlusMatrix::from_fn(a.rows(), b.cols(), |i, j| cols[j][i])
 }
 
-/// Gather row `i` of a matrix into contiguous scratch so inner loops index a
-/// slice instead of paying per-entry `MatrixAccess::at` dispatch.
-fn gather_row<A: MatrixAccess>(a: &A, i: usize) -> Vec<Entry> {
-    match a.row_slice(i) {
-        Some(slice) => slice.to_vec(),
-        None => (0..a.cols()).map(|k| a.at(i, k)).collect(),
-    }
-}
-
-/// One row of the (min,+) product `A * B`, computed lazily with a single
-/// SMAWK pass: for fixed output row `i`, the matrix
-/// `E(j, k) = A(i, k) + B(k, j)` over rows `j` (the output columns) and
-/// columns `k` (the inner index) satisfies the quadrangle inequality exactly
-/// when `B` does — the `A(i, ·)` terms appear on both sides and cancel — so
-/// when `B` is Monge the row minima of `E` are found with
-/// `O(cols(B) + cols(A))` evaluations, and `E`'s row-`j` minimum value *is*
-/// entry `(i, j)` of the product.  Because a minimum is a single
-/// well-defined value, the returned entries are bitwise-identical to what
-/// [`min_plus_parallel`] stores, regardless of which argmin SMAWK reports.
-///
-/// The caller must guarantee `B` is Monge (use
-/// [`min_plus_product_row_general`] otherwise).
-pub fn min_plus_product_row<A: MatrixAccess, B: MatrixAccess>(a: &A, b: &B, i: usize) -> Vec<Entry> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    assert!(i < a.rows(), "row out of range");
-    if b.cols() == 0 {
-        return Vec::new();
-    }
-    if a.cols() == 0 {
-        return vec![INF; b.cols()];
-    }
-    let a_row = gather_row(a, i);
-    let eval = |j: usize, k: usize| sat_add(a_row[k], b.at(k, j));
-    let minima = smawk_row_minima(b.cols(), a.cols(), &eval);
-    (0..b.cols()).map(|j| eval(j, minima[j])).collect()
-}
-
-/// Output-column block width of the general row kernel: big enough that the
-/// per-block `A`-row replay is amortised, small enough that the output block
-/// and the matching `B`-row segments stay cache-resident.
-const GENERAL_ROW_BLOCK: usize = 2048;
-
-/// One row of the (min,+) product without any Monge assumption, as a
-/// cache-blocked `O(cols(B) · cols(A))` scan.
-///
-/// Instead of the textbook `j`-outer / `k`-inner order (which strides
-/// through `B` column-wise, touching `cols(A)` different rows per output
-/// entry), the output row is produced in blocks of [`GENERAL_ROW_BLOCK`]
-/// columns with `k` outer and `j` inner, so each step streams a contiguous
-/// segment of one `B` row against the accumulator block.  When `B` exposes
-/// [`MatrixAccess::row_slice`] the inner loop is a branch-light
-/// slice-to-slice zip (no bounds checks, no saturating branch beyond the
-/// single `INF` guard).  The result is bitwise-identical to the naive scan:
-/// every `(j, k)` candidate is still folded with `min`, whose value does not
-/// depend on evaluation order.
-pub fn min_plus_product_row_general<A: MatrixAccess, B: MatrixAccess>(a: &A, b: &B, i: usize) -> Vec<Entry> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    assert!(i < a.rows(), "row out of range");
-    let (inner, out_cols) = (a.cols(), b.cols());
-    if out_cols == 0 {
-        return Vec::new();
-    }
-    if inner == 0 {
-        return vec![INF; out_cols];
-    }
-    let a_row = gather_row(a, i);
-    let mut out = vec![INF; out_cols];
-    let mut j0 = 0;
-    while j0 < out_cols {
-        let j1 = (j0 + GENERAL_ROW_BLOCK).min(out_cols);
-        let out_block = &mut out[j0..j1];
-        for (k, &aik) in a_row.iter().enumerate() {
-            if aik >= INF {
-                continue; // sat_add(aik, ·) is INF, which never improves
-            }
-            match b.row_slice(k) {
-                Some(b_row) => {
-                    for (acc, &bkj) in out_block.iter_mut().zip(&b_row[j0..j1]) {
-                        let v = if bkj >= INF { INF } else { aik + bkj };
-                        if v < *acc {
-                            *acc = v;
-                        }
-                    }
-                }
-                None => {
-                    for (dj, acc) in out_block.iter_mut().enumerate() {
-                        let v = sat_add(aik, b.at(k, j0 + dj));
-                        if v < *acc {
-                            *acc = v;
-                        }
-                    }
-                }
-            }
-        }
-        j0 = j1;
-    }
-    out
-}
-
-/// Work cap (in `eval` calls per row) above which the banded scan of
-/// [`min_plus_product_rows`] abandons the inherited argmin bounds and falls
-/// back to a fresh SMAWK pass for that row.  SMAWK costs
-/// `O(cols(B) + cols(A))` evaluations, so a cap of a small multiple keeps
-/// the batch within a constant factor of per-row SMAWK even when the bounds
-/// are loose.
-const BANDED_SCAN_SLACK: usize = 4;
-
-/// A batch of rows of the (min,+) product `A * B`, amortising SMAWK column
-/// reduction across adjacent rows.  `rows` must be strictly ascending; the
-/// caller must guarantee **both** factors are Monge (the situation
-/// [`ImplicitMongeMatrix::product`] certifies — use per-row
-/// [`min_plus_product_row_general`] otherwise).
-///
-/// Soundness of the amortisation: for a fixed output column `j`, the matrix
-/// `D_j(i, k) = A(i, k) + B(k, j)` is Monge whenever `A` is (the `B(k, j)`
-/// terms are column constants and cancel in the quadrangle inequality), so
-/// its *leftmost* row argmins are nondecreasing in `i`.  Solving the first
-/// and last requested rows with SMAWK therefore brackets, per output
-/// column, where every intermediate row's argmin can live; the batch
-/// recurses row-wise (solve the middle row inside the bracket, split) so
-/// each level tightens the bands geometrically.  A row whose total band
-/// width exceeds [`BANDED_SCAN_SLACK`]`·(cols(B) + cols(A))` is solved by a
-/// fresh SMAWK pass instead, so the worst case stays `O(rows · (α + β))`
-/// like per-row SMAWK while adjacent rows with correlated argmins share
-/// almost all column reduction.  Minimum *values* are independent of which
-/// argmin is reported, so every row is bitwise-identical to
-/// [`min_plus_product_row`].
-///
-/// [`ImplicitMongeMatrix::product`]: crate::implicit::ImplicitMongeMatrix::product
-pub fn min_plus_product_rows<A: MatrixAccess, B: MatrixAccess>(a: &A, b: &B, rows: &[usize]) -> Vec<Vec<Entry>> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be strictly ascending");
-    if rows.is_empty() {
-        return Vec::new();
-    }
-    assert!(*rows.last().expect("nonempty") < a.rows(), "row out of range");
-    let (inner, out_cols) = (a.cols(), b.cols());
-    if out_cols == 0 {
-        return vec![Vec::new(); rows.len()];
-    }
-    if inner == 0 {
-        return vec![vec![INF; out_cols]; rows.len()];
-    }
-
-    // Solve one row from scratch, recording values *and* leftmost argmins
-    // (SMAWK already reports leftmost minima, which the banding needs).
-    let solve_smawk = |i: usize| -> (Vec<Entry>, Vec<usize>) {
-        let a_row = gather_row(a, i);
-        let eval = |j: usize, k: usize| sat_add(a_row[k], b.at(k, j));
-        let minima = smawk_row_minima(out_cols, inner, &eval);
-        let values = (0..out_cols).map(|j| eval(j, minima[j])).collect();
-        (values, minima)
-    };
-
-    let last = rows.len() - 1;
-    let mut solved: Vec<Option<(Vec<Entry>, Vec<usize>)>> = (0..rows.len()).map(|_| None).collect();
-    solved[0] = Some(solve_smawk(rows[0]));
-    if last > 0 {
-        solved[last] = Some(solve_smawk(rows[last]));
-    }
-
-    let mut stack = vec![(0usize, last)];
-    while let Some((lo, hi)) = stack.pop() {
-        if hi.saturating_sub(lo) <= 1 {
-            continue;
-        }
-        let mid = lo + (hi - lo) / 2;
-        let result = {
-            let (_, klo) = solved[lo].as_ref().expect("bracket endpoints are solved");
-            let (_, khi) = solved[hi].as_ref().expect("bracket endpoints are solved");
-            let band: usize = klo.iter().zip(khi).map(|(&l, &h)| h - l + 1).sum();
-            if band > BANDED_SCAN_SLACK * (out_cols + inner) {
-                solve_smawk(rows[mid])
-            } else {
-                let a_row = gather_row(a, rows[mid]);
-                let mut values = Vec::with_capacity(out_cols);
-                let mut minima = Vec::with_capacity(out_cols);
-                for j in 0..out_cols {
-                    let (mut best, mut arg) = (INF, klo[j]);
-                    for (k, &aik) in a_row.iter().enumerate().take(khi[j] + 1).skip(klo[j]) {
-                        let v = sat_add(aik, b.at(k, j));
-                        if v < best {
-                            best = v;
-                            arg = k;
-                        }
-                    }
-                    values.push(best);
-                    minima.push(arg);
-                }
-                (values, minima)
-            }
-        };
-        solved[mid] = Some(result);
-        stack.push((lo, mid));
-        stack.push((mid, hi));
-    }
-
-    solved.into_iter().map(|r| r.expect("recursion solved every row").0).collect()
-}
-
-/// Lemma 4: multiply matrices of unequal sizes by conceptually padding them
-/// with `+∞` to compatible square-ish shapes.  Our dense representation never
-/// requires the padding to be materialised, so this is a thin wrapper kept
-/// for fidelity with the paper's statement; it asserts the dimension
-/// relationship of the lemma in debug builds.
-pub fn min_plus_padded(a: &MinPlusMatrix, b: &MinPlusMatrix) -> MinPlusMatrix {
-    debug_assert!(a.cols() == b.rows());
-    min_plus_parallel(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,10 +122,8 @@ mod tests {
             let a = random_monge(9, 7, seed);
             let b = random_monge(7, 11, seed + 100);
             let naive = min_plus_naive(&a, &b);
-            let fast = min_plus_monge(&a, &b);
             let par = min_plus_parallel(&a, &b);
             let gen = min_plus_general_parallel(&a, &b);
-            assert_eq!(naive, fast, "seed {seed}");
             assert_eq!(naive, par, "seed {seed}");
             assert_eq!(naive, gen, "seed {seed}");
         }
@@ -428,17 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_product_rows_match_the_eager_product() {
-        for seed in 40..46 {
-            let a = random_monge(11, 8, seed);
-            let b = random_monge(8, 13, seed + 50);
-            let eager = min_plus_parallel(&a, &b);
-            for i in 0..a.rows() {
-                assert_eq!(min_plus_product_row(&a, &b, i), eager.row(i), "seed {seed} row {i}");
-                assert_eq!(min_plus_product_row_general(&a, &b, i), eager.row(i), "seed {seed} row {i} (general)");
-            }
-        }
-        // Views multiply without being copied out.
+    fn views_multiply_without_being_copied() {
         let a = random_monge(6, 5, 99);
         let b = random_monge(5, 7, 98);
         let rows: Vec<usize> = (0..a.rows()).collect();
@@ -452,76 +211,5 @@ mod tests {
         let a = random_monge(40, 35, 77);
         let b = random_monge(35, 50, 78);
         assert_eq!(min_plus_naive(&a, &b), min_plus_parallel(&a, &b));
-    }
-
-    #[test]
-    fn batched_rows_match_per_row_smawk_bitwise() {
-        for seed in 60..66 {
-            let a = random_monge(24, 15, seed);
-            let b = random_monge(15, 31, seed + 9);
-            let eager = min_plus_parallel(&a, &b);
-            // All rows, a sparse ascending subset, and singletons.
-            let full: Vec<usize> = (0..a.rows()).collect();
-            let sparse: Vec<usize> = vec![0, 3, 4, 11, 23];
-            for rows in [&full[..], &sparse[..], &[7][..], &[][..]] {
-                let batch = min_plus_product_rows(&a, &b, rows);
-                assert_eq!(batch.len(), rows.len());
-                for (out, &i) in batch.iter().zip(rows) {
-                    assert_eq!(out.as_slice(), eager.row(i), "seed {seed} row {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_rows_handle_infinite_entries() {
-        // Saturated entries exercise the INF guards in both the SMAWK
-        // endpoints and the banded middle scans.
-        let a = MinPlusMatrix::infinity(6, 4);
-        let b = random_monge(4, 9, 81);
-        let rows: Vec<usize> = (0..6).collect();
-        for out in min_plus_product_rows(&a, &b, &rows) {
-            assert!(out.iter().all(|&v| v >= INF));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn batched_rows_reject_unsorted_requests() {
-        let a = random_monge(4, 3, 1);
-        let b = random_monge(3, 4, 2);
-        let _ = min_plus_product_rows(&a, &b, &[2, 1]);
-    }
-
-    #[test]
-    fn blocked_general_row_matches_naive_past_one_block() {
-        // Wide enough to cross a block boundary (cols > GENERAL_ROW_BLOCK).
-        let cols = GENERAL_ROW_BLOCK + 37;
-        let a = MinPlusMatrix::from_fn(2, 3, |i, k| (i * 5 + k) as Entry);
-        let b =
-            MinPlusMatrix::from_fn(
-                3,
-                cols,
-                |k, j| {
-                    if (j + k) % 97 == 0 {
-                        INF
-                    } else {
-                        ((j * 7 + k * 13) % 1000) as Entry
-                    }
-                },
-            );
-        for i in 0..2 {
-            let got = min_plus_product_row_general(&a, &b, i);
-            let want: Vec<Entry> =
-                (0..cols).map(|j| (0..3).map(|k| sat_add(a.get(i, k), b.get(k, j))).min().unwrap()).collect();
-            assert_eq!(got, want, "row {i}");
-        }
-        // Views take the slice-less fallback path and must agree too.
-        let rows: Vec<usize> = (0..2).collect();
-        let inner: Vec<usize> = (0..3).collect();
-        let view = crate::view::SubmatrixView::new(&a, &rows, &inner);
-        for i in 0..2 {
-            assert_eq!(min_plus_product_row_general(&view, &b, i), min_plus_product_row_general(&a, &b, i));
-        }
     }
 }

@@ -6,14 +6,12 @@
 //! entry only a handful of times.  These views make block extraction free:
 //!
 //! * [`MatrixAccess`] — the read-only matrix interface everything in this
-//!   crate is generic over (the Monge predicate, SMAWK-based products, the
-//!   implicit product of [`implicit`](crate::implicit));
+//!   crate is generic over (the Monge predicate and the SMAWK-based
+//!   products);
 //! * [`SubmatrixView`] — a borrowed block `(row_ids × col_ids)` of a base
-//!   matrix, resolving `(i, j)` through the index slices on the fly;
-//! * [`PaddedView`] — a matrix conceptually extended with `INF` entries
-//!   (the Lemma 4 padding trick) without materialising the padding.
+//!   matrix, resolving `(i, j)` through the index slices on the fly.
 
-use crate::matrix::{Entry, MinPlusMatrix, INF};
+use crate::matrix::{Entry, MinPlusMatrix};
 
 /// Read-only access to an `rows x cols` (min,+) matrix.  Implemented by the
 /// dense [`MinPlusMatrix`] and by the borrowing views of this module, so
@@ -25,17 +23,6 @@ pub trait MatrixAccess {
     fn cols(&self) -> usize;
     /// Entry at `(i, j)`.
     fn at(&self, i: usize, j: usize) -> Entry;
-    /// Row `i` as a contiguous slice, when the representation stores one.
-    ///
-    /// The default is `None` (views resolve entries through index
-    /// indirection and have no contiguous storage); dense matrices return
-    /// their backing row so blocked kernels can stream it without per-entry
-    /// bounds checks.  Implementations must return exactly
-    /// `at(i, 0..cols())` — callers treat the slice as a pure fast path.
-    #[inline]
-    fn row_slice(&self, _i: usize) -> Option<&[Entry]> {
-        None
-    }
 }
 
 impl MatrixAccess for MinPlusMatrix {
@@ -49,10 +36,6 @@ impl MatrixAccess for MinPlusMatrix {
     fn at(&self, i: usize, j: usize) -> Entry {
         self.get(i, j)
     }
-    #[inline]
-    fn row_slice(&self, i: usize) -> Option<&[Entry]> {
-        Some(self.row(i))
-    }
 }
 
 impl<M: MatrixAccess + ?Sized> MatrixAccess for &M {
@@ -65,10 +48,6 @@ impl<M: MatrixAccess + ?Sized> MatrixAccess for &M {
     #[inline]
     fn at(&self, i: usize, j: usize) -> Entry {
         (**self).at(i, j)
-    }
-    #[inline]
-    fn row_slice(&self, i: usize) -> Option<&[Entry]> {
-        (**self).row_slice(i)
     }
 }
 
@@ -111,43 +90,9 @@ impl MatrixAccess for SubmatrixView<'_> {
     }
 }
 
-/// A matrix conceptually padded with `INF` up to `rows x cols` (Lemma 4);
-/// the padding entries are computed, never stored.
-pub struct PaddedView<'a, M: MatrixAccess> {
-    base: &'a M,
-    rows: usize,
-    cols: usize,
-}
-
-impl<'a, M: MatrixAccess> PaddedView<'a, M> {
-    /// Pad `base` to `rows x cols` (must each be at least the base size).
-    pub fn new(base: &'a M, rows: usize, cols: usize) -> Self {
-        assert!(rows >= base.rows() && cols >= base.cols(), "padding cannot shrink the matrix");
-        PaddedView { base, rows, cols }
-    }
-}
-
-impl<M: MatrixAccess> MatrixAccess for PaddedView<'_, M> {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-    fn cols(&self) -> usize {
-        self.cols
-    }
-    #[inline]
-    fn at(&self, i: usize, j: usize) -> Entry {
-        if i < self.base.rows() && j < self.base.cols() {
-            self.base.at(i, j)
-        } else {
-            INF
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monge::is_monge;
 
     #[test]
     fn submatrix_view_matches_owned_extraction() {
@@ -163,42 +108,6 @@ mod tests {
             }
         }
         assert_eq!(view.to_matrix(), owned);
-    }
-
-    #[test]
-    fn padded_view_matches_pad_to() {
-        let m = MinPlusMatrix::from_rows(vec![vec![1, 9], vec![7, 3]]);
-        let view = PaddedView::new(&m, 4, 3);
-        let owned = m.pad_to(4, 3);
-        for i in 0..4 {
-            for j in 0..3 {
-                assert_eq!(view.at(i, j), owned.get(i, j));
-            }
-        }
-        // Padding preserves the Monge property (Lemma 4), checked through
-        // the generic predicate without materialising anything.
-        let monge = crate::monge::distance_monge(&[0, 3, 7], &[1, 5], 2);
-        assert!(is_monge(&PaddedView::new(&monge, 5, 4)));
-    }
-
-    #[test]
-    fn row_slice_is_dense_only_and_agrees_with_at() {
-        let m = MinPlusMatrix::from_fn(4, 5, |i, j| (3 * i + j) as Entry);
-        let by_ref = &m;
-        for i in 0..4 {
-            let slice = m.row_slice(i).expect("dense matrices expose rows");
-            let via_ref =
-                <&MinPlusMatrix as MatrixAccess>::row_slice(&by_ref, i).expect("references forward the slice");
-            assert_eq!(slice, via_ref);
-            for (j, &v) in slice.iter().enumerate() {
-                assert_eq!(v, m.at(i, j));
-            }
-        }
-        let rows = [0usize, 2];
-        let cols = [1usize, 3];
-        let view = SubmatrixView::new(&m, &rows, &cols);
-        assert!(view.row_slice(0).is_none(), "views have no contiguous rows");
-        assert!(PaddedView::new(&m, 6, 6).row_slice(0).is_none());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Experiment E9 measures wall-clock speedup of the construction algorithms
 //! as a function of the number of processors `p` — the empirical counterpart
-//! of Brent's theorem.  This module wraps rayon thread pools so a closure
+//! of Brent's theorem — and the sequential arms of E2/E3/E8 run the parallel
+//! routines on one worker.  This module wraps rayon thread pools so a closure
 //! (and every rayon `join`/parallel iterator it spawns) runs on exactly `p`
 //! workers of a dedicated work-stealing pool.
 
@@ -12,19 +13,6 @@ pub fn run_on_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     let pool =
         rayon::ThreadPoolBuilder::new().num_threads(threads.max(1)).build().expect("failed to build thread pool");
     pool.install(f)
-}
-
-/// Measure the wall-clock time of `f` on pools of each size in `sizes`,
-/// returning `(threads, seconds)` pairs.  The closure is run once per size.
-pub fn scaling_curve<T: Send>(sizes: &[usize], mut f: impl FnMut() -> T + Send) -> Vec<(usize, f64)> {
-    sizes
-        .iter()
-        .map(|&p| {
-            let start = std::time::Instant::now();
-            let _ = run_on_pool(p, &mut f);
-            (p, start.elapsed().as_secs_f64())
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -44,13 +32,5 @@ mod tests {
     fn work_completes_on_small_pool() {
         let sum: u64 = run_on_pool(2, || (0..100_000u64).into_par_iter().sum());
         assert_eq!(sum, 100_000 * 99_999 / 2);
-    }
-
-    #[test]
-    fn scaling_curve_reports_each_size() {
-        let curve = scaling_curve(&[1, 2], || (0..10_000u64).into_par_iter().map(|x| x * x).sum::<u64>());
-        assert_eq!(curve.len(), 2);
-        assert_eq!(curve[0].0, 1);
-        assert!(curve.iter().all(|&(_, secs)| secs >= 0.0));
     }
 }

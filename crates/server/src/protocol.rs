@@ -16,7 +16,7 @@
 //! points, rectangle pairs, scene ids) rather than stringified summaries.
 
 use rsp_core::RspError;
-use rsp_geom::{DeltaError, DisjointnessViolation, Dist, ObstacleSet, Point, RectId, RectiPath, SceneDelta};
+use rsp_geom::{Coord, DeltaError, DisjointnessViolation, Dist, ObstacleSet, Point, RectId, RectiPath, SceneDelta};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
@@ -26,8 +26,9 @@ use std::io::{Read, Write};
 /// breakdown of [`SessionStoreStats`].  v4: [`Request::UpdateScene`] /
 /// [`Response::SceneUpdated`] incremental scene editing, the
 /// [`ServerError::InvalidDelta`] mirror, and [`SessionStoreStats`] gained
-/// `epoch` plus the delta-reuse counters.)
-pub const PROTOCOL_VERSION: u8 = 4;
+/// `epoch` plus the delta-reuse counters.  v5: the
+/// [`ServerError::CoordinateOutOfRange`] mirror.)
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Upper bound on a frame's payload length in bytes (16 MiB).
 pub const MAX_FRAME_LEN: u32 = 16 << 20;
@@ -205,6 +206,11 @@ pub enum ServerError {
         /// Why the delta is malformed.
         error: DeltaError,
     },
+    /// Mirror of [`RspError::CoordinateOutOfRange`].
+    CoordinateOutOfRange {
+        /// The container coordinate past the supported range.
+        coordinate: Coord,
+    },
     /// A query referenced a scene that is not resident (never loaded, or
     /// evicted by the LRU bound); the client should re-send `LoadScene`.
     UnknownScene {
@@ -243,6 +249,7 @@ impl From<RspError> for ServerError {
             RspError::PointInsideObstacle { point, obstacle } => ServerError::PointInsideObstacle { point, obstacle },
             RspError::ThreadPool(message) => ServerError::ThreadPool { message },
             RspError::InvalidDelta(error) => ServerError::InvalidDelta { error },
+            RspError::CoordinateOutOfRange(coordinate) => ServerError::CoordinateOutOfRange { coordinate },
         }
     }
 }
@@ -263,6 +270,7 @@ impl ServerError {
             }
             ServerError::ThreadPool { message } => Some(RspError::ThreadPool(message)),
             ServerError::InvalidDelta { error } => Some(RspError::InvalidDelta(error)),
+            ServerError::CoordinateOutOfRange { coordinate } => Some(RspError::CoordinateOutOfRange(coordinate)),
             ServerError::UnknownScene { .. } | ServerError::ShuttingDown => None,
         }
     }

@@ -9,7 +9,7 @@
 
 use crate::protocol::{Request, Response, SceneId, ServerError, ServerStats};
 use crate::shard::ShardSet;
-use rsp_core::router::{Engine, Router};
+use rsp_core::router::Router;
 use rsp_core::store::StoreKind;
 use rsp_geom::{Dist, ObstacleSet, Point, RectiPath, SceneDelta};
 use std::sync::Arc;
@@ -34,8 +34,6 @@ pub struct ServiceConfig {
     /// Admission size budget: a batch dispatches as soon as it holds this
     /// many queries (default 256).
     pub batch_max: usize,
-    /// Engine for session construction (default [`Engine::Auto`]).
-    pub engine: Engine,
     /// Distance store for session construction (default [`StoreKind::Auto`]:
     /// dense for small scenes, byte-budgeted implicit rows for large ones).
     pub store: StoreKind,
@@ -49,7 +47,6 @@ impl Default for ServiceConfig {
             session_budget_bytes: 1 << 30,
             batch_window: Duration::ZERO,
             batch_max: 256,
-            engine: Engine::Auto,
             store: StoreKind::Auto,
         }
     }
@@ -215,6 +212,11 @@ mod tests {
             }
             other => panic!("expected overlap error, got {other:?}"),
         }
+        let far = ObstacleSet::new(vec![Rect::new(1 << 60, 0, (1 << 60) + 4, 20)]);
+        assert_eq!(
+            svc.handle(Request::LoadScene { obstacles: far }),
+            Response::Error { error: ServerError::CoordinateOutOfRange { coordinate: (1 << 60) - 2 } }
+        );
         let scene = svc.load_scene(&ObstacleSet::new(vec![Rect::new(2, 2, 6, 10)])).unwrap();
         match svc.handle(Request::Path { scene, source: Point::new(1, 1), target: Point::new(2, 2) }) {
             Response::Error { error: ServerError::NotAVertex { point } } => assert_eq!(point, Point::new(1, 1)),

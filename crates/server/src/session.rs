@@ -24,7 +24,7 @@
 //!   fresh.
 
 use crate::protocol::{CacheStats, SceneId, ServerError, SessionStoreStats};
-use rsp_core::router::{Engine, Router};
+use rsp_core::router::Router;
 use rsp_core::store::StoreKind;
 use rsp_geom::ObstacleSet;
 use std::collections::HashMap;
@@ -56,29 +56,27 @@ pub struct SessionCache {
     inner: Mutex<Inner>,
     capacity: usize,
     budget_bytes: usize,
-    engine: Engine,
     store: StoreKind,
 }
 
 impl SessionCache {
     /// A cache holding at most `capacity` sessions (at least 1), building
-    /// routers with the given engine, no byte budget ([`usize::MAX`]) and
-    /// the [`StoreKind::Auto`] distance store.
-    pub fn new(capacity: usize, engine: Engine) -> Self {
-        Self::with_limits(capacity, usize::MAX, engine, StoreKind::Auto)
+    /// default routers with no byte budget ([`usize::MAX`]) and the
+    /// [`StoreKind::Auto`] distance store.
+    pub fn new(capacity: usize) -> Self {
+        Self::with_limits(capacity, usize::MAX, StoreKind::Auto)
     }
 
     /// A cache bounded by both a session count and a distance-store byte
-    /// budget, building routers with the given engine and store kind.  The
+    /// budget, building default routers with the given store kind.  The
     /// byte budget is enforced on every resolution (loads *and* lookups):
     /// implicit stores grow as queries materialise rows, so residency is
     /// re-summed each time rather than only at insertion.
-    pub fn with_limits(capacity: usize, budget_bytes: usize, engine: Engine, store: StoreKind) -> Self {
+    pub fn with_limits(capacity: usize, budget_bytes: usize, store: StoreKind) -> Self {
         SessionCache {
             inner: Mutex::new(Inner { entries: HashMap::new(), tick: 0, stats: CacheStats::default() }),
             capacity: capacity.max(1),
             budget_bytes,
-            engine,
             store,
         }
     }
@@ -151,12 +149,7 @@ impl SessionCache {
     /// once per residency; the losers block until it is ready.
     fn resolve(&self, cell: &SessionCell, obstacles: &Arc<ObstacleSet>) -> Result<Arc<Router>, ServerError> {
         cell.get_or_init(|| {
-            Router::builder((**obstacles).clone())
-                .engine(self.engine)
-                .store(self.store)
-                .build()
-                .map(Arc::new)
-                .map_err(ServerError::from)
+            Router::builder((**obstacles).clone()).store(self.store).build().map(Arc::new).map_err(ServerError::from)
         })
         .clone()
     }
@@ -317,7 +310,7 @@ mod tests {
 
     #[test]
     fn concurrent_loads_share_one_build() {
-        let cache = Arc::new(SessionCache::new(4, Engine::Auto));
+        let cache = Arc::new(SessionCache::new(4));
         let obstacles = scene(0);
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -340,7 +333,7 @@ mod tests {
 
     #[test]
     fn lru_bound_evicts_oldest() {
-        let cache = SessionCache::new(2, Engine::Auto);
+        let cache = SessionCache::new(2);
         let (id0, r0) = cache.load(&scene(0));
         assert!(r0.is_ok());
         let (id1, _) = cache.load(&scene(100));
@@ -364,7 +357,7 @@ mod tests {
         // Each dense 2-obstacle session holds an 8x8 matrix = 512 bytes once
         // its oracle is built.  A 1000-byte budget fits one built session
         // but not two.
-        let cache = SessionCache::with_limits(16, 1000, Engine::Auto, StoreKind::Dense);
+        let cache = SessionCache::with_limits(16, 1000, StoreKind::Dense);
         let (id0, r0) = cache.load(&scene(0));
         let r0 = r0.unwrap();
         // Force the oracle (and thus the matrix) into residency.
@@ -391,7 +384,7 @@ mod tests {
         // A budget no single built session fits under: the cache must keep
         // exactly the session just resolved (count 1) and evict the rest,
         // not thrash the protected one.
-        let cache = SessionCache::with_limits(8, 100, Engine::Auto, StoreKind::Dense);
+        let cache = SessionCache::with_limits(8, 100, StoreKind::Dense);
         let (id0, r0) = cache.load(&scene(0));
         let _ = r0.unwrap().distance(rsp_geom::Point::new(-3, -3), rsp_geom::Point::new(12, 9)).unwrap();
         let (id1, _) = cache.load(&scene(100));
@@ -402,8 +395,7 @@ mod tests {
 
     #[test]
     fn implicit_store_sessions_account_row_cache_bytes() {
-        let cache =
-            SessionCache::with_limits(4, usize::MAX, Engine::Auto, StoreKind::Implicit { budget_bytes: 1 << 20 });
+        let cache = SessionCache::with_limits(4, usize::MAX, StoreKind::Implicit { budget_bytes: 1 << 20 });
         let (_, r) = cache.load(&scene(0));
         let r = r.unwrap();
         assert_eq!(cache.stats().resident_bytes, 0, "nothing resident before the first query");
@@ -417,7 +409,7 @@ mod tests {
 
     #[test]
     fn invalid_scenes_cache_their_typed_error() {
-        let cache = SessionCache::new(4, Engine::Auto);
+        let cache = SessionCache::new(4);
         let bad = ObstacleSet::new(vec![Rect::new(0, 0, 4, 4), Rect::new(2, 2, 6, 6)]);
         let (id, first) = cache.load(&bad);
         let err = first.err().unwrap();
@@ -430,7 +422,7 @@ mod tests {
 
     #[test]
     fn evict_and_unknown_lookup() {
-        let cache = SessionCache::new(4, Engine::Auto);
+        let cache = SessionCache::new(4);
         let (id, _) = cache.load(&scene(0));
         assert!(cache.evict(id));
         assert!(!cache.evict(id));

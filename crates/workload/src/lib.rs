@@ -13,6 +13,8 @@
 //! * [`corridors`] — long thin walls with narrow gaps (stress-tests path
 //!   detours and path-length `k`, E6);
 //! * [`aspect_stress`] — extreme aspect-ratio rectangles;
+//! * [`touching_lattice`] — rectangles that share corners and collinear
+//!   edges (the certification matrices' degenerate-contact family);
 //! * [`query_pairs`] — random query point pairs, optionally snapped to
 //!   obstacle vertices (E5);
 //! * [`edit_stream`] — seeded incremental-edit traces (insert / remove /
@@ -139,6 +141,38 @@ pub fn aspect_stress(n: usize, seed: u64) -> Workload {
     Workload { name: format!("aspect_stress(n={n})"), seed, obstacles }
 }
 
+/// `n` rectangles on a lattice of 6 x 6 cells, `ceil(sqrt(n))` cells wide.
+/// Each cell stays empty with probability 1/4; otherwise it holds one
+/// rectangle of random width and height in `2..=6`, pinned to the cell's
+/// lower-left, lower-right or upper-right corner.  Rectangles therefore
+/// touch: neighbours pinned to a shared cell side meet along collinear edges,
+/// diagonal neighbours meet at shared corners, and full-size rectangles fill
+/// their cell.  Interiors stay disjoint by construction.  This is the shape
+/// of the touching scenes in `tests/properties.rs`, as a seeded family.
+pub fn touching_lattice(n: usize, seed: u64) -> Workload {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let side = (n.max(1) as f64).sqrt().ceil() as usize;
+    let pitch = 6i64;
+    let mut rects = Vec::with_capacity(n);
+    let mut cell = 0usize;
+    while rects.len() < n {
+        let (x0, y0) = (pitch * (cell % side) as i64, pitch * (cell / side) as i64);
+        cell += 1;
+        let anchor = rng.gen_range(0u8..4);
+        let (w, h) = (rng.gen_range(2..=pitch), rng.gen_range(2..=pitch));
+        let (x, y) = match anchor {
+            0 => continue,
+            1 => (x0, y0),
+            2 => (x0 + pitch - w, y0),
+            _ => (x0 + pitch - w, y0 + pitch - h),
+        };
+        rects.push(Rect::new(x, y, x + w, y + h));
+    }
+    let obstacles = ObstacleSet::new(rects);
+    debug_assert!(obstacles.validate_disjoint().is_ok());
+    Workload { name: format!("touching_lattice(n={n})"), seed, obstacles }
+}
+
 /// Random query pairs inside the bounding box of the obstacles (expanded a
 /// little), avoiding obstacle interiors.  If `snap_to_vertices` is set the
 /// points are obstacle vertices instead.
@@ -168,7 +202,8 @@ pub fn query_pairs(obstacles: &ObstacleSet, count: usize, snap_to_vertices: bool
 /// [`Router::apply_delta`](../rsp_core/router/struct.Router.html#method.apply_delta)
 /// session to session — and every step keeps the scene pairwise-disjoint, so
 /// the whole trace replays without validation errors on any base produced by
-/// [`uniform_disjoint`], [`clustered`] or [`corridors`].
+/// [`uniform_disjoint`], [`clustered`], [`corridors`] or
+/// [`touching_lattice`].
 ///
 /// The mix is roughly 40% inserts, 30% removals and 30% moves (a removal
 /// plus a re-insertion of the same rectangle translated by a small jitter,
@@ -260,6 +295,28 @@ mod tests {
     }
 
     #[test]
+    fn touching_lattice_is_disjoint_sized_and_touching() {
+        for (n, seed) in [(1usize, 1u64), (9, 2), (25, 3), (64, 4)] {
+            let w = touching_lattice(n, seed);
+            assert_eq!(w.n(), n);
+            assert!(w.obstacles.validate_disjoint().is_ok());
+        }
+        // Larger lattices always contain contacts: a shared corner or a
+        // collinear shared edge segment between two rectangles.
+        let w = touching_lattice(64, 5);
+        let rects = w.obstacles.rects();
+        let touching = rects.iter().enumerate().any(|(i, a)| {
+            rects[i + 1..].iter().any(|b| {
+                let xs = a.xmin.max(b.xmin) <= a.xmax.min(b.xmax);
+                let ys = a.ymin.max(b.ymin) <= a.ymax.min(b.ymax);
+                xs && ys
+            })
+        });
+        assert!(touching, "no two rectangles touch");
+        assert_eq!(touching_lattice(30, 9).obstacles.rects(), touching_lattice(30, 9).obstacles.rects());
+    }
+
+    #[test]
     fn query_pairs_avoid_interiors() {
         let w = uniform_disjoint(25, 9);
         let qs = query_pairs(&w.obstacles, 50, false, 11);
@@ -277,7 +334,12 @@ mod tests {
 
     #[test]
     fn edit_streams_replay_validly_on_every_base_family() {
-        for base in [uniform_disjoint(20, 3).obstacles, clustered(24, 3, 4).obstacles, corridors(6, 60, 5).obstacles] {
+        for base in [
+            uniform_disjoint(20, 3).obstacles,
+            clustered(24, 3, 4).obstacles,
+            corridors(6, 60, 5).obstacles,
+            touching_lattice(20, 6).obstacles,
+        ] {
             let stream = edit_stream(&base, 40, 11);
             assert_eq!(stream.len(), 40);
             let mut scene = base.clone();

@@ -37,7 +37,7 @@
 //!
 //! // Build a session.  Overlapping obstacles are a typed error naming the
 //! // offending pair, not a panic.
-//! let router = Router::builder(obstacles).engine(Engine::Auto).build()?;
+//! let router = Router::builder(obstacles).engine(Engine::Sweep).build()?;
 //!
 //! // 1. Length queries (Section 6): O(1) between obstacle vertices,
 //! //    O(log n) between arbitrary points.
@@ -83,5 +83,5 @@ pub use rsp_core::trace::EscapeKind;
 pub use rsp_core::RspError;
 pub use rsp_geom::{
     Chain, Coord, DeltaError, DisjointnessViolation, Dist, ObstacleSet, Point, Rect, RectiPath, SceneDelta,
-    StairRegion, INF,
+    StairRegion, INF, MAX_COORD,
 };

@@ -1,17 +1,17 @@
 //! Determinism certification for the work-stealing scheduler: every Router
 //! engine must return **bitwise-identical** distances and paths no matter
-//! how many worker threads serve the session.  This is what licenses the
-//! parallel engines as drop-in replacements for the sequential one — any
-//! scheduling-order leak (a non-associative reduction, an
+//! how many worker threads serve the session.  This is what lets one engine
+//! serve every pool size: a one-worker pool is the sequential schedule, and
+//! any scheduling-order leak (a non-associative reduction, an
 //! iteration-order-dependent tie-break, a racy write) shows up here as a
 //! cross-thread-count diff.
 //!
-//! Seeded scenes cover the three workload families (uniform, clustered,
-//! corridors); a property-based sweep then fuzzes scene shape and mixed
-//! vertex/arbitrary batches.
+//! Seeded scenes cover the four workload families (uniform, clustered,
+//! corridors, touching lattice); a property-based sweep then fuzzes scene
+//! shape and mixed vertex/arbitrary batches.
 
 use proptest::prelude::*;
-use rectilinear_shortest_paths::workload::{clustered, corridors, query_pairs, uniform_disjoint};
+use rectilinear_shortest_paths::workload::{clustered, corridors, query_pairs, touching_lattice, uniform_disjoint};
 use rectilinear_shortest_paths::{Dist, Engine, ObstacleSet, Point, RectiPath, Router, StoreKind};
 
 /// Distance stores under test: the dense matrix and an implicit store with a
@@ -68,11 +68,12 @@ fn every_engine_is_bitwise_deterministic_across_thread_counts() {
         ("uniform", uniform_disjoint(7, 4).obstacles),
         ("clustered", clustered(6, 2, 9).obstacles),
         ("corridors", corridors(3, 40, 11).obstacles),
+        ("touching", touching_lattice(9, 5).obstacles),
     ];
     for (name, obstacles) in scenes {
         let pairs = mixed_batch(&obstacles, 77);
         let vertex_pairs = query_pairs(&obstacles, 10, true, 99);
-        for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
+        for engine in [Engine::Sweep, Engine::HananBaseline] {
             // One reference per engine, shared across the thread-count AND
             // store matrix: thread scheduling must not move an answer, and
             // neither may the implicit store's lazy materialisation /
@@ -113,7 +114,7 @@ fn edited_sessions_are_bitwise_deterministic_across_the_matrix() {
     let edited_scene = base.apply_delta(delta).expect("stream delta applies").obstacles;
     let pairs = mixed_batch(&edited_scene, 55);
     let vertex_pairs = query_pairs(&edited_scene, 10, true, 66);
-    for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
+    for engine in [Engine::Sweep, Engine::HananBaseline] {
         let mut reference: Option<(Vec<Dist>, Vec<RectiPath>)> = None;
         for threads in thread_counts() {
             for store in store_kinds(&base) {
@@ -148,32 +149,6 @@ fn edited_sessions_are_bitwise_deterministic_across_the_matrix() {
     }
 }
 
-/// `Engine::Auto` resolves to different engines at different thread counts
-/// (Sequential at 1, DivideAndConquer otherwise), so paths may legitimately
-/// differ in shape — but distances are ground truth and must agree, and
-/// every path must certify the same length.
-#[test]
-fn auto_engine_distances_agree_across_thread_counts() {
-    let obstacles = uniform_disjoint(8, 21).obstacles;
-    let pairs = mixed_batch(&obstacles, 13);
-    let vertex_pairs = query_pairs(&obstacles, 8, true, 5);
-    let mut reference: Option<Vec<Dist>> = None;
-    for threads in thread_counts() {
-        let router =
-            Router::builder(obstacles.clone()).engine(Engine::Auto).threads(threads).build().expect("valid scene");
-        let distances = router.distances(&pairs).expect("distance batch");
-        match &reference {
-            None => reference = Some(distances),
-            Some(dist0) => assert_eq!(&distances, dist0, "Auto: distances diverge at {threads} threads"),
-        }
-        for &(s, t) in &vertex_pairs {
-            let expect = router.vertex_distance(s, t).unwrap();
-            let path = router.path(s, t).unwrap();
-            assert!(path.certifies(&obstacles, s, t, expect), "Auto/{threads} threads: path fails to certify");
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -190,7 +165,7 @@ proptest! {
         let pairs = mixed_batch(&obstacles, batch_seed);
         let vertex_pairs = query_pairs(&obstacles, 6, true, batch_seed + 7);
         prop_assume!(!pairs.is_empty());
-        for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
+        for engine in [Engine::Sweep, Engine::HananBaseline] {
             let baseline = serve(&obstacles, engine, 1, StoreKind::Dense, &pairs, &vertex_pairs);
             for threads in thread_counts().into_iter().skip(1) {
                 for store in store_kinds(&obstacles) {

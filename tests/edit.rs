@@ -13,7 +13,7 @@
 //! (`rsp-server`) resolve edits back to identical ids.
 
 use proptest::prelude::*;
-use rectilinear_shortest_paths::workload::{edit_stream, query_pairs, uniform_disjoint};
+use rectilinear_shortest_paths::workload::{edit_stream, query_pairs, touching_lattice, uniform_disjoint};
 use rectilinear_shortest_paths::{Dist, Engine, ObstacleSet, Rect, Router, SceneDelta, StoreKind};
 
 /// Distance stores under test: the dense matrix and an implicit store with a
@@ -43,16 +43,22 @@ fn assert_bitwise_equal(edited: &Router, fresh: &Router, scene: &ObstacleSet, se
     );
 }
 
-/// The full certification matrix: engines × stores × thread counts, walked
-/// along one seeded edit stream, comparing after **every** step.  Each epoch
-/// is warmed with a query batch before the next edit so the delta build has
-/// substructures to carry (a cold `apply_delta` would just build fresh).
+/// The full certification matrix: scene families × engines × stores ×
+/// thread counts, walked along one seeded edit stream per family, comparing
+/// after **every** step.  Each epoch is warmed with a query batch before the
+/// next edit so the delta build has substructures to carry (a cold
+/// `apply_delta` would just build fresh).  The edited sessions' lengths are
+/// also checked against a fresh Hanan-grid comparator at every step.
 #[test]
 fn edit_streams_stay_bitwise_faithful_for_every_engine_store_and_thread_count() {
-    let base = uniform_disjoint(8, 42).obstacles;
-    let stream = edit_stream(&base, 6, 7);
-    for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
-        for store in store_kinds(&base) {
+    for base in [uniform_disjoint(8, 42).obstacles, touching_lattice(9, 42).obstacles] {
+        edit_matrix(&base, &edit_stream(&base, 6, 7));
+    }
+}
+
+fn edit_matrix(base: &ObstacleSet, stream: &[SceneDelta]) {
+    for engine in [Engine::Sweep, Engine::HananBaseline] {
+        for store in store_kinds(base) {
             for threads in [1usize, 2] {
                 let build = |obstacles: ObstacleSet| {
                     Router::builder(obstacles)
@@ -74,6 +80,13 @@ fn edit_streams_stay_bitwise_faithful_for_every_engine_store_and_thread_count() 
                     let fresh = build(scene.clone());
                     let label = format!("{engine:?}/{store:?}/{threads}t/step {step}");
                     assert_bitwise_equal(&session, &fresh, &scene, 1000 + step as u64, &label);
+                    let hanan = Router::builder(scene.clone()).engine(Engine::HananBaseline).build().expect("valid");
+                    let pairs = query_pairs(&scene, 8, false, 2000 + step as u64);
+                    assert_eq!(
+                        session.distances(&pairs),
+                        hanan.distances(&pairs),
+                        "{label}: lengths differ from Hanan"
+                    );
                 }
             }
         }

@@ -12,6 +12,7 @@ use rectilinear_shortest_paths::core::tree::RecursionTree;
 use rectilinear_shortest_paths::core::Instance;
 use rectilinear_shortest_paths::geom::hanan::{ground_truth_distance, ground_truth_matrix};
 use rectilinear_shortest_paths::geom::Point;
+use rectilinear_shortest_paths::pram::pool::run_on_pool;
 use rectilinear_shortest_paths::workload::{aspect_stress, clustered, corridors, query_pairs, uniform_disjoint};
 
 #[test]
@@ -23,7 +24,7 @@ fn every_engine_agrees_on_uniform_instances() {
         let truth = ground_truth_matrix(obs, &verts);
 
         let apsp = VertexApsp::build(obs);
-        let seq = VertexApsp::build_sequential(obs);
+        let seq = run_on_pool(1, || VertexApsp::build(obs));
         let dij = dijkstra_sssp_matrix(obs);
         for i in 0..verts.len() {
             for j in 0..verts.len() {

@@ -4,21 +4,29 @@
 
 use proptest::prelude::*;
 use rectilinear_shortest_paths::geom::hanan::ground_truth_distance;
-use rectilinear_shortest_paths::workload::{clustered, corridors, query_pairs, uniform_disjoint};
-use rectilinear_shortest_paths::{Engine, ObstacleSet, Point, Rect, Router, RspError};
+use rectilinear_shortest_paths::workload::{clustered, corridors, query_pairs, touching_lattice, uniform_disjoint};
+use rectilinear_shortest_paths::{Engine, ObstacleSet, Point, Rect, Router, RspError, SceneDelta, MAX_COORD};
 use std::sync::Arc;
 
-/// Router sessions over the same scene, one per engine variant.
-fn routers_for_all_engines(obstacles: &ObstacleSet) -> Vec<(Engine, Router)> {
-    [Engine::Auto, Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline]
-        .into_iter()
-        .map(|e| (e, Router::builder(obstacles.clone()).engine(e).build().expect("valid scene")))
-        .collect()
+/// Router sessions over the same scene: each engine on the global pool, and
+/// the sweep engine again on a one-worker pool (the sequential schedule).
+fn routers_for_all_engines(obstacles: &ObstacleSet) -> Vec<(&'static str, Router)> {
+    let build = |e: Engine| Router::builder(obstacles.clone()).engine(e);
+    vec![
+        ("Sweep", build(Engine::Sweep).build().expect("valid scene")),
+        ("Sweep/1t", build(Engine::Sweep).threads(1).build().expect("valid scene")),
+        ("HananBaseline", build(Engine::HananBaseline).build().expect("valid scene")),
+    ]
 }
 
 #[test]
 fn engines_agree_on_seeded_scenes() {
-    let scenes = [uniform_disjoint(7, 4).obstacles, clustered(6, 2, 9).obstacles, corridors(3, 40, 11).obstacles];
+    let scenes = [
+        uniform_disjoint(7, 4).obstacles,
+        clustered(6, 2, 9).obstacles,
+        corridors(3, 40, 11).obstacles,
+        touching_lattice(12, 3).obstacles,
+    ];
     for obstacles in scenes {
         let routers = routers_for_all_engines(&obstacles);
         let verts = obstacles.vertices();
@@ -30,14 +38,14 @@ fn engines_agree_on_seeded_scenes() {
             for &b in verts.iter().step_by(5) {
                 let expect = ground_truth_distance(&obstacles, a, b);
                 for (engine, router) in &routers {
-                    assert_eq!(router.vertex_distance(a, b), Ok(expect), "{engine:?}: {a:?} -> {b:?}");
+                    assert_eq!(router.vertex_distance(a, b), Ok(expect), "{engine}: {a:?} -> {b:?}");
                 }
             }
         }
         for &(a, b) in &arbitrary {
             let expect = ground_truth_distance(&obstacles, a, b);
             for (engine, router) in &routers {
-                assert_eq!(router.distance(a, b), Ok(expect), "{engine:?}: {a:?} -> {b:?}");
+                assert_eq!(router.distance(a, b), Ok(expect), "{engine}: {a:?} -> {b:?}");
             }
         }
 
@@ -48,7 +56,7 @@ fn engines_agree_on_seeded_scenes() {
                 let expect = ground_truth_distance(&obstacles, s, t);
                 for (engine, router) in &routers {
                     let path = router.path(s, t).unwrap();
-                    assert!(path.certifies(&obstacles, s, t, expect), "{engine:?}: bad path {s:?} -> {t:?}");
+                    assert!(path.certifies(&obstacles, s, t, expect), "{engine}: bad path {s:?} -> {t:?}");
                 }
             }
         }
@@ -137,6 +145,57 @@ fn typed_errors_replace_options_and_panics() {
     // And the error type boxes like any std error.
     let boxed: Box<dyn std::error::Error> = Box::new(RspError::NotAVertex(Point::new(7, 7)));
     assert!(boxed.to_string().contains("not an obstacle vertex"));
+}
+
+/// Two 4 x 20 walls whose outer sides sit at `x = ±offset`.  The pair
+/// `(-offset - 1, 0)`, `(offset + 1, 0)` must climb over a wall and back
+/// down, so its length is `2·offset + 2 + 20`.
+fn far_walls(offset: i64) -> ObstacleSet {
+    ObstacleSet::new(vec![Rect::new(-offset, -10, -offset + 4, 10), Rect::new(offset - 4, -10, offset, 10)])
+}
+
+#[test]
+fn coordinates_past_the_headroom_are_typed_errors() {
+    // Regression: at ±2^60 this scene used to build, and the pair across it
+    // came back as `Ok(INF)` ("unreachable") instead of its length 2^61 + 22.
+    let offset = 1i64 << 60;
+    assert_eq!(Router::new(far_walls(offset)).err(), Some(RspError::CoordinateOutOfRange(-offset - 2)));
+    // Margins count: the container is the bounding box pushed out by them.
+    assert_eq!(
+        Router::builder(far_walls(1000)).margin(MAX_COORD).build().err(),
+        Some(RspError::CoordinateOutOfRange(-1000 - MAX_COORD))
+    );
+    assert_eq!(
+        Router::builder(ObstacleSet::empty()).margin(i64::MAX).build().err(),
+        Some(RspError::CoordinateOutOfRange(i64::MIN + 1))
+    );
+}
+
+#[test]
+fn the_coordinate_bound_is_exact_to_one_unit() {
+    // With the default margin of 2 the container reaches exactly ±MAX_COORD.
+    let at_bound = far_walls(MAX_COORD - 2);
+    let router = Router::new(at_bound.clone()).expect("a container at ±MAX_COORD is in range");
+    let hanan = Router::builder(at_bound.clone()).engine(Engine::HananBaseline).build().expect("in range");
+    let (a, b) = (Point::new(-MAX_COORD + 1, 0), Point::new(MAX_COORD - 1, 0));
+    let expect = 2 * (MAX_COORD - 1) + 20;
+    assert_eq!(router.distance(a, b), Ok(expect));
+    assert_eq!(hanan.distance(a, b), Ok(expect));
+    // Opposite outer corners of the two walls: a monotone staircase.
+    let (s, t) = (Point::new(-MAX_COORD + 2, -10), Point::new(MAX_COORD - 2, 10));
+    let corner_to_corner = 2 * (MAX_COORD - 2) + 20;
+    assert_eq!(router.vertex_distance(s, t), Ok(corner_to_corner));
+    assert!(router.path(s, t).unwrap().certifies(&at_bound, s, t, corner_to_corner));
+    // One unit further, by obstacle, by margin or by an edit, is rejected.
+    assert_eq!(Router::new(far_walls(MAX_COORD - 1)).err(), Some(RspError::CoordinateOutOfRange(-MAX_COORD - 1)));
+    assert_eq!(Router::builder(at_bound).margin(3).build().err(), Some(RspError::CoordinateOutOfRange(-MAX_COORD - 1)));
+    let inside = Rect::new(0, MAX_COORD - 3, 1, MAX_COORD - 2);
+    assert!(router.apply_delta(&SceneDelta::inserting(vec![inside])).is_ok());
+    let outside = Rect::new(0, MAX_COORD - 2, 1, MAX_COORD - 1);
+    assert_eq!(
+        router.apply_delta(&SceneDelta::inserting(vec![outside])).err(),
+        Some(RspError::CoordinateOutOfRange(MAX_COORD + 1))
+    );
 }
 
 proptest! {

@@ -170,7 +170,7 @@ fn connection_churn_leaks_no_descriptors() {
 
 /// Build one of each `RspError` variant from sampled evidence.
 fn rsp_error_from(selector: u8, x: i64, y: i64, id_a: usize, id_b: usize) -> RspError {
-    match selector % 7 {
+    match selector % 8 {
         0 => RspError::OverlappingObstacles(DisjointnessViolation {
             first: id_a,
             second: id_b,
@@ -182,6 +182,7 @@ fn rsp_error_from(selector: u8, x: i64, y: i64, id_a: usize, id_b: usize) -> Rsp
         3 => RspError::NotAVertex(Point::new(x, y)),
         4 => RspError::PointOutsideContainer(Point::new(x, y)),
         5 => RspError::PointInsideObstacle { point: Point::new(x, y), obstacle: id_b },
+        6 => RspError::CoordinateOutOfRange(x << 50),
         _ => RspError::ThreadPool(format!("pool of {id_a} threads unavailable")),
     }
 }
@@ -194,7 +195,7 @@ proptest! {
     /// `RspError` rendering identically (the evidence is intact).
     #[test]
     fn every_rsp_error_survives_the_wire(
-        selector in 0u8..7,
+        selector in 0u8..8,
         x in -1000i64..1000,
         y in -1000i64..1000,
         id_a in 0usize..10_000,

@@ -1,5 +1,5 @@
 //! Smoke test: the three independent engines — the O(n^2) sequential
-//! construction of Section 9 (`seq`, via `VertexApsp::build_sequential`), the
+//! construction of Section 9 (`seq`, `VertexApsp::build` on one worker), the
 //! Hanan-grid Dijkstra baseline, and the divide-and-conquer `BoundaryMatrix`
 //! of Section 5 — agree on shortest-path lengths for small seeded
 //! `uniform_disjoint` workloads.
@@ -7,6 +7,7 @@
 use rectilinear_shortest_paths::core::apsp::VertexApsp;
 use rectilinear_shortest_paths::core::dnc::{build_boundary_matrix_bbox, DncOptions};
 use rectilinear_shortest_paths::geom::hanan::{ground_truth_distance, ground_truth_matrix};
+use rectilinear_shortest_paths::pram::pool::run_on_pool;
 use rectilinear_shortest_paths::workload::uniform_disjoint;
 
 #[test]
@@ -18,7 +19,7 @@ fn seq_baseline_and_dnc_agree_on_small_uniform_workloads() {
 
         // Section 9 sequential engine vs the Hanan-grid Dijkstra baseline,
         // over all vertex pairs.
-        let seq = VertexApsp::build_sequential(obs);
+        let seq = run_on_pool(1, || VertexApsp::build(obs));
         let hanan = ground_truth_matrix(obs, &verts);
         for i in 0..verts.len() {
             for j in 0..verts.len() {

@@ -4,8 +4,8 @@
 //!
 //! Two angles:
 //!
-//! * A property sweep over every engine and all three workload families
-//!   (uniform, clustered, corridors) comparing `StoreKind::Dense` against a
+//! * A property sweep over every engine and all four workload families
+//!   (uniform, clustered, corridors, touching lattice) comparing `StoreKind::Dense` against a
 //!   deliberately starved `StoreKind::Implicit` (two-row budget, so eviction
 //!   churn is constant) — distances and paths must agree bit for bit.
 //! * A memory-scaling test at n = 512 / 1024 / 2048 pinning the acceptance
@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use rectilinear_shortest_paths::core::apsp::VertexApsp;
 use rectilinear_shortest_paths::core::store::{default_budget_bytes, dense_bytes_for};
-use rectilinear_shortest_paths::workload::{clustered, corridors, query_pairs, uniform_disjoint};
+use rectilinear_shortest_paths::workload::{clustered, corridors, query_pairs, touching_lattice, uniform_disjoint};
 use rectilinear_shortest_paths::{Dist, Engine, ObstacleSet, Point, Router, StoreKind};
 
 /// An implicit store starved down to two resident rows, so every batch
@@ -26,13 +26,14 @@ fn starved(obstacles: &ObstacleSet) -> StoreKind {
     StoreKind::Implicit { budget_bytes: 2 * row_bytes }
 }
 
-/// One of the three workload families, selected by index (proptest draws
+/// One of the four workload families, selected by index (proptest draws
 /// the index so the sweep covers all of them).
 fn family(which: usize, n: usize, seed: u64) -> ObstacleSet {
     match which {
         0 => uniform_disjoint(n, seed).obstacles,
         1 => clustered(n, 2, seed).obstacles,
-        _ => corridors(n.max(2), 30, seed).obstacles,
+        2 => corridors(n.max(2), 30, seed).obstacles,
+        _ => touching_lattice(n, seed).obstacles,
     }
 }
 
@@ -44,7 +45,7 @@ proptest! {
     /// paths on vertex pairs.
     #[test]
     fn implicit_store_is_bitwise_equal_to_dense(
-        which in 0usize..3,
+        which in 0usize..4,
         n in 2usize..7,
         scene_seed in any::<u64>(),
         batch_seed in any::<u64>(),
@@ -54,7 +55,8 @@ proptest! {
         pairs.extend(query_pairs(&obstacles, 10, true, batch_seed + 1));
         let vertex_pairs = query_pairs(&obstacles, 8, true, batch_seed + 2);
         prop_assume!(!pairs.is_empty());
-        for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
+        let mut lengths_by_engine = Vec::new();
+        for engine in [Engine::Sweep, Engine::HananBaseline] {
             let serve = |store: StoreKind| {
                 let router = Router::builder(obstacles.clone()).engine(engine).store(store).build().expect("valid scene");
                 (
@@ -66,7 +68,10 @@ proptest! {
             let (impl_dist, impl_paths) = serve(starved(&obstacles));
             prop_assert_eq!(&impl_dist, &dense_dist);
             prop_assert_eq!(&impl_paths, &dense_paths);
+            lengths_by_engine.push(dense_dist);
         }
+        // The sweep's lengths are the Hanan-grid comparator's lengths.
+        prop_assert_eq!(&lengths_by_engine[0], &lengths_by_engine[1]);
     }
 
     /// The batch planner is invisible in results and visible in sweeps: a
@@ -77,7 +82,7 @@ proptest! {
     /// the two-row budget cannot hold the batch's working set.
     #[test]
     fn planned_batches_are_bitwise_dense_with_bounded_sweeps(
-        which in 0usize..3,
+        which in 0usize..4,
         n in 2usize..7,
         scene_seed in any::<u64>(),
         batch_seed in any::<u64>(),
@@ -96,7 +101,7 @@ proptest! {
             .map(|&(a, b)| std::cmp::min(index[&a], index[&b]))
             .collect::<std::collections::HashSet<_>>()
             .len() as u64;
-        for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
+        for engine in [Engine::Sweep, Engine::HananBaseline] {
             let build = |store: StoreKind| {
                 Router::builder(obstacles.clone()).engine(engine).store(store).build().expect("valid scene")
             };
@@ -118,7 +123,7 @@ proptest! {
     /// equivalent per-call sequence.
     #[test]
     fn deduped_batches_equal_per_call_answers(
-        which in 0usize..3,
+        which in 0usize..4,
         n in 2usize..6,
         scene_seed in any::<u64>(),
         batch_seed in any::<u64>(),
